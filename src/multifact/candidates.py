@@ -38,7 +38,6 @@ fast path.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .core import ContractError, IntegrityError, MultipartiteGraph

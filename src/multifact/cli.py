@@ -13,6 +13,7 @@ import json
 import random
 import sys
 
+from . import lattice
 from .cliques import collapse_bipartite
 from .core import ContractError, Graph
 from .fileio import (
@@ -24,6 +25,7 @@ from .fileio import (
 from .lattice import size_bound, verify_charseq_theorem, verify_v2_bijection
 from .series import (
     DEFAULT_CAP,
+    SeriesRun,
     roundtrip_report,
     run_clean,
     run_factor,
@@ -90,7 +92,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return _fail(str(e))
     except ContractError as e:
         return _fail(f"{args.input}: {e}")
-    run = _run_series(g, args.mode, args.cap, args.low_memory)
+    try:
+        run = _run_series(g, args.mode, args.cap, args.low_memory)
+    except ContractError as e:
+        return _fail(str(e))
     blob = serialise_multipartite(run.final)
     status = run.status.describe()
     if args.output is None:
@@ -103,11 +108,19 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK if run.status.kind == "terminated" else EXIT_CAP
 
 
+def _lattice_checks(run: SeriesRun) -> tuple[dict, dict]:
+    # one family serves both checks and is freed before the round trip
+    # runs; it is looked up on the module, the one name every build uses
+    fam = lattice.intersection_family(run.source)
+    return verify_charseq_theorem(run, fam=fam), verify_v2_bijection(run, fam=fam)
+
+
 def _verify_report(g: Graph) -> dict:
     run = run_clean(g)
+    charseq, v2 = _lattice_checks(run)
     checks = {
-        "charseq_theorem": verify_charseq_theorem(run),
-        "v2_bijection": verify_v2_bijection(run),
+        "charseq_theorem": charseq,
+        "v2_bijection": v2,
         "size_bound": size_bound(g, run.final),
         "projection_roundtrip": roundtrip_report(run),
     }
@@ -125,7 +138,10 @@ def _suite_params(tokens: list[str]) -> dict:
         key, sep, val = tok.partition("=")
         if key not in params or not sep or not val:
             raise ContractError(f"suite parameter must be n=, seeds= or p=, got {tok!r}")
-        params[key] = float(val) if key == "p" else int(val)
+        try:
+            params[key] = float(val) if key == "p" else int(val)
+        except ValueError:
+            raise ContractError(f"suite parameter {key} must be a number, got {val!r}") from None
     if params["n"] < 0 or params["seeds"] < 1 or not 0 <= params["p"] <= 1:
         raise ContractError(f"suite parameters out of range: {params}")
     return params
@@ -204,7 +220,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return _fail(str(e))
     except ContractError as e:
         return _fail(f"{args.input}: {e}")
-    run = _run_series(g, args.mode, args.cap, args.low_memory)
+    try:
+        run = _run_series(g, args.mode, args.cap, args.low_memory)
+    except ContractError as e:
+        return _fail(str(e))
     stats = series_stats(run)
     # timing stays off stdout so identical inputs give identical bytes
     total = 0.0

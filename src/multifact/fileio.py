@@ -4,9 +4,22 @@ The edge-list reader is forgiving ('#' comments, blank lines); the mgraph
 format is deliberately canonical.  A valid mgraph file is byte for byte
 what :func:`serialise_multipartite` emits for its graph, so parsing and
 serialising are mutually inverse and golden tests can compare raw bytes.
+
+The mgraph parser validates once: one pattern per section checks the
+syntax, bulk checks over whole columns of ids do the rest, and the graph
+is built without validating again.  Rejected text is read a second time,
+line by line, which reports the first faulty line with the same message
+the format has always given.  Parsed graphs share one snapshot set object
+among equal member lists at a level, so callers must not rely on the
+identity of snapshot sets.
 """
 
 from __future__ import annotations
+
+import re
+from bisect import bisect_right
+from itertools import compress, repeat
+from operator import add, lt, mul, ne
 
 from .core import ContractError, Graph, MultipartiteGraph
 
@@ -87,16 +100,50 @@ def serialise_multipartite(g: MultipartiteGraph) -> str:
     section sorted by id and every line '\\n'-terminated.  Snapshot lines
     keep empty member lists so that creation-time records survive the trip.
     """
+    level_of = g._level_of
+    labels = g.labels
+    adj = g._adj
+    xs = sorted(labels)
     out = [f"mgraph {len(g.levels)}\n"]
-    for x in sorted(g.labels):
-        out.append(f"v {g.level_of(x)} {x} {_token(g.labels[x])}\n")
-    for u, v in sorted(g.edges):
-        out.append(f"e {u} {v}\n")
-    for x in sorted(g.snapshots):
-        for j in sorted(g.snapshots[x]):
-            members = " ".join(str(y) for y in sorted(g.snapshots[x][j]))
-            out.append(f"s {x} {j} {members}\n" if members else f"s {x} {j}\n")
+    out += [f"v {level_of[x]} {x} {_token(labels[x])}\n" for x in xs]
+    for x in xs:
+        ys = sorted(adj[x])
+        ys = ys[bisect_right(ys, x):]
+        if ys:  # the edges to higher ids, joined in one call
+            out.append(f"e {x} " + f"\ne {x} ".join(map(str, ys)) + "\n")
+    # equal member sets recur thousands of times (parsed graphs even share
+    # the set object), so each distinct set is written out once
+    member_text: dict[frozenset[int], str] = {}
+    snaps = g.snapshots
+    for x in sorted(snaps):
+        per = snaps[x]
+        for j in sorted(per):
+            ms = per[j]
+            if not ms:
+                out.append(f"s {x} {j}\n")
+                continue
+            text = member_text.get(ms)
+            if text is None:
+                text = member_text[ms] = " ".join(map(str, sorted(ms)))
+            out.append(f"s {x} {j} {text}\n")
     return "".join(out)
+
+
+# Canonical decimals, as _int admits them; [0-9] keeps out the other
+# Unicode digits that int() accepts.  Levels are never negative.
+_ID = r"(?:0|-?[1-9][0-9]*)"
+_LEVEL = r"(?:0|[1-9][0-9]*)"
+# One pattern per section.  The possessive repeats (Python 3.11) never give
+# back a matched line, so the engine keeps no backtracking state per line
+# and memory stays flat however long the section is.
+_HEADER = re.compile(r"mgraph ([1-9][0-9]*)\n")
+_V_SECTION = re.compile(rf"(?:v {_LEVEL} {_ID} [^\s#]\S*\n)*+")
+_E_SECTION = re.compile(rf"(?:e {_ID} {_ID}\n)*+")
+_S_SECTION = re.compile(rf"(?:s {_ID} {_LEVEL}(?: {_ID})*+\n)*+")
+# the id and the "<level> <members...>" rest of each line of a section
+# that _S_SECTION has matched
+_S_ID = re.compile(r"^s (\S+)", re.MULTILINE)
+_S_REST = re.compile(r"^s \S+ (.*)$", re.MULTILINE)
 
 
 def parse_multipartite(text: str) -> MultipartiteGraph:
@@ -105,7 +152,105 @@ def parse_multipartite(text: str) -> MultipartiteGraph:
     Sections must appear in v, e, s order, each strictly increasing by id
     (edges by pair, snapshots by (id, level)); any deviation, duplicate or
     dangling reference is rejected with its line number.
+
+    Valid text is checked once, section by section, and the graph is built
+    without a second validation.  Text that fails any check is read again
+    line by line, which names the first faulty line.  Equal snapshot member
+    lists at one level share one set object, so callers must not rely on
+    the identity of snapshot sets.
     """
+    g = _parse_sections(text)
+    return g if g is not None else _parse_by_line(text)
+
+
+def _strictly_increasing(xs: list) -> bool:
+    return all(map(lt, xs, xs[1:]))
+
+
+def _parse_sections(text: str) -> MultipartiteGraph | None:
+    """The graph of valid mgraph text, or None when any check fails."""
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    v_end = _V_SECTION.match(text, head.end()).end()
+    e_end = _E_SECTION.match(text, v_end).end()
+    if _S_SECTION.match(text, e_end).end() != len(text):
+        return None
+    try:
+        return _build(text, int(head[1]), head.end(), v_end, e_end)
+    except ValueError:
+        # int() refuses decimals longer than the interpreter's digit limit
+        return None
+
+
+def _build(
+    text: str, level_count: int, v_start: int, v_end: int, e_end: int
+) -> MultipartiteGraph | None:
+    # pairs are compared as one int each, never as tuples: a tuple per
+    # record would cost an allocation and garbage-collector work per line
+    tokens = text[v_start:v_end].split()
+    lvls = list(map(int, tokens[1::4]))
+    ids = list(map(int, tokens[2::4]))
+    names = tokens[3::4]
+    if lvls and max(lvls) >= level_count:
+        return None
+    if not _strictly_increasing(ids) or len(set(names)) != len(names):
+        return None
+    level_of = dict(zip(ids, lvls))
+    at_level: list[list[int]] = [[] for _ in range(level_count)]
+    for x, i in zip(ids, lvls):
+        at_level[i].append(x)
+    levels = tuple(map(frozenset, at_level))
+
+    tokens = text[v_end:e_end].split()
+    us = list(map(int, tokens[1::3]))
+    ws = list(map(int, tokens[2::3]))
+    lus = list(map(level_of.get, us))
+    lws = list(map(level_of.get, ws))
+    if None in lus or None in lws or not all(map(ne, lus, lws)) or not all(map(lt, us, ws)):
+        return None
+    if us:
+        # u * span + w orders declared ids exactly as the pair (u, w) does
+        span = ids[-1] - ids[0] + 1
+        if not _strictly_increasing(list(map(add, map(mul, us, repeat(span)), ws))):
+            return None
+    nbrs: dict[int, list[int]] = {x: [] for x in ids}
+    for u, w in zip(us, ws):
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    adj = {x: frozenset(ys) for x, ys in nbrs.items()}
+
+    section = text[e_end:]
+    xs = list(map(int, _S_ID.findall(section)))
+    rests = _S_REST.findall(section)
+    # intern member sets by their "<level> <members...>" text: records
+    # repeat a few thousand distinct lists tens of thousands of times
+    level_at: dict[str, int] = {}
+    set_at: dict[str, frozenset[int]] = {}
+    for rest in set(rests):
+        j, *ys = map(int, rest.split())
+        if not _strictly_increasing(ys) or any(level_of.get(y) != j for y in ys):
+            return None
+        level_at[rest] = j
+        set_at[rest] = frozenset(ys)
+    js = list(map(level_at.__getitem__, rests))
+    lxs = list(map(level_of.get, xs))
+    if None in lxs or not all(map(lt, js, lxs)):
+        return None
+    # x * level_count + j orders records exactly as (x, j) does
+    if not _strictly_increasing(list(map(add, map(mul, xs, repeat(level_count)), js))):
+        return None
+    sets = list(map(set_at.__getitem__, rests))
+    n = len(xs)
+    # records of one vertex are contiguous; cut the lists where x changes
+    cuts = [0, *compress(range(1, n), map(ne, xs, xs[1:])), n] if n else [0]
+    snaps = {xs[a]: dict(zip(js[a:b], sets[a:b])) for a, b in zip(cuts, cuts[1:])}
+
+    return MultipartiteGraph._assemble(levels, dict(zip(ids, names)), adj, snaps, len(us))
+
+
+def _parse_by_line(text: str) -> MultipartiteGraph:
+    # the diagnosing path: names the first faulty line of rejected text
     if not text:
         raise FormatError(1, "empty file")
     body = text.split("\n")
@@ -124,8 +269,9 @@ def parse_multipartite(text: str) -> MultipartiteGraph:
     labels: dict[int, str] = {}
     label_line: dict[str, int] = {}
     level_of: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    snaps: dict[int, dict[int, set[int]]] = {}
+    adj: dict[int, set[int]] = {}
+    edge_count = 0
+    snaps: dict[int, dict[int, frozenset[int]]] = {}
     section = 0
     last_vertex: int | None = None
     last_edge: tuple[int, int] | None = None
@@ -164,6 +310,7 @@ def parse_multipartite(text: str) -> MultipartiteGraph:
             levels[lvl].add(x)
             labels[x] = lab
             level_of[x] = lvl
+            adj[x] = set()
 
         elif tag == "e":
             if len(parts) != 3:
@@ -182,7 +329,9 @@ def parse_multipartite(text: str) -> MultipartiteGraph:
             if last_edge is not None and (u, w) <= last_edge:
                 raise FormatError(no, "edges must be strictly increasing")
             last_edge = (u, w)
-            edges.append((u, w))
+            adj[u].add(w)
+            adj[w].add(u)
+            edge_count += 1
 
         else:
             if len(parts) < 3:
@@ -210,6 +359,12 @@ def parse_multipartite(text: str) -> MultipartiteGraph:
                     raise FormatError(no, "snapshot members must be strictly increasing")
                 prev = y
                 members.add(y)
-            snaps.setdefault(x, {})[j] = members
+            snaps.setdefault(x, {})[j] = frozenset(members)
 
-    return MultipartiteGraph(levels, labels, edges, snaps)
+    return MultipartiteGraph._assemble(
+        tuple(map(frozenset, levels)),
+        labels,
+        {x: frozenset(ys) for x, ys in adj.items()},
+        snaps,
+        edge_count,
+    )

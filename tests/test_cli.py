@@ -129,8 +129,8 @@ class TestVerify:
         failing = {"pass": False, "levels": [{"level": 2, "pass": False}]}
         real = cli.verify_charseq_theorem
 
-        def verify(run):
-            return failing if run.source == broken else real(run)
+        def verify(run, fam=None):
+            return failing if run.source == broken else real(run, fam=fam)
 
         monkeypatch.setattr(cli, "verify_charseq_theorem", verify)
         assert main(argv) == 3
@@ -145,6 +145,28 @@ class TestVerify:
         assert main(["verify", "--random", "m=3"]) == 1
         capsys.readouterr()
         assert main(["verify", "--random", "p=2.0"]) == 1
+
+    @pytest.mark.parametrize("token", ["n=abc", "seeds=1.5", "p=x"])
+    def test_non_numeric_suite_parameter_is_one_error_line(self, token, capsys):
+        assert main(["verify", "--random", token]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_builds_the_intersection_family_once(self, fix_chain_file, capsys, monkeypatch):
+        from multifact import lattice
+
+        builds = []
+        real = lattice.intersection_family
+
+        def counting(g):
+            builds.append(g)
+            return real(g)
+
+        monkeypatch.setattr(lattice, "intersection_family", counting)
+        assert main(["verify", str(fix_chain_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"]
+        assert len(builds) == 1
 
     def test_requires_an_input(self, capsys):
         assert main(["verify"]) == 1
@@ -209,6 +231,15 @@ class TestStats:
         assert main(["stats", str(diamond_file), "--mode", "weak"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["final"]["bound"] is None
+
+
+@pytest.mark.parametrize("command", ["decompose", "stats"])
+@pytest.mark.parametrize("mode", ["weak", "factor"])
+def test_zero_cap_is_one_error_line(diamond_file, command, mode, capsys):
+    assert main([command, str(diamond_file), "--mode", mode, "--cap", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cap must be positive, got 0\n"
+    assert captured.out == ""
 
 
 def test_stdout_is_byte_identical_across_runs(diamond_file):

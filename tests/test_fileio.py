@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifact import (
     ContractError,
@@ -9,10 +12,13 @@ from multifact import (
     parse_multipartite,
     random_graph,
     run_clean,
+    run_factor,
+    run_weak,
     serialise_edge_list,
     serialise_multipartite,
 )
-from tests.conftest import DIAMOND
+from multifact.fileio import _parse_by_line, _parse_sections
+from tests.conftest import DIAMOND, FIX_CHAIN
 
 
 class TestEdgeList:
@@ -167,3 +173,167 @@ class TestMultipartiteFormat:
 
     def test_format_error_is_a_contract_error(self):
         assert issubclass(FormatError, ContractError)
+
+
+@functools.cache
+def differential_bases() -> tuple[str, ...]:
+    """Serialised graphs from all three modes, plus one with negative ids."""
+    negative = MultipartiteGraph(
+        [{-9, -4, 0}, {-2, 3}, {5}],
+        {-9: "p", -4: "q", 0: "r", -2: "s", 3: "t", 5: "u"},
+        [(-9, -2), (-4, -2), (-4, 3), (0, 3), (-2, 5), (3, 5)],
+        {-2: {0: [-9, -4]}, 3: {0: [-4, 0]}, 5: {0: [-4], 1: [-2, 3]}},
+    )
+    graphs = [
+        run_clean(Graph.from_edge_list(FIX_CHAIN)).final,
+        run_clean(random_graph(9, 0.7, 5)).final,
+        run_factor(random_graph(9, 0.6, 5), cap=3).final,
+        # the weak top level doubles per step; cap 3 already writes 49
+        # snapshot lines with no members
+        run_weak(random_graph(8, 0.5, 586998), cap=3).final,
+        negative,
+    ]
+    return tuple(map(serialise_multipartite, graphs))
+
+
+def _mutate(text: str, kind: str, i: int, k: int) -> str:
+    lines = text.split("\n")[:-1]
+    no = i % len(lines)
+    line = lines[no]
+    if kind == "none":
+        return text
+    if kind == "drop final newline":
+        return text[:-1]
+    if kind == "duplicate line":
+        lines.insert(no, line)
+    elif kind == "swap lines":
+        other = k % len(lines)
+        lines[no], lines[other] = lines[other], line
+    elif kind == "delete line":
+        del lines[no]
+    elif kind == "borrow token":
+        # a token from the same place in another record of the same kind:
+        # repeated labels, edges within one level, members from the wrong level
+        parts = line.split(" ")
+        donors = [d for d in (x.split(" ") for x in lines) if d[0] == parts[0]]
+        donor = donors[k % len(donors)]
+        width = min(len(parts), len(donor))
+        if width < 2:
+            return text
+        t = 1 + i % (width - 1)
+        parts[t] = donor[t]
+        lines[no] = " ".join(parts)
+    elif kind in {"tab", "carriage return", "no-break space"}:
+        spaces = [p for p, ch in enumerate(line) if ch == " "]
+        if not spaces:
+            return text
+        p = spaces[k % len(spaces)]
+        sub = {"tab": "\t", "carriage return": "\r", "no-break space": "\xa0"}[kind]
+        lines[no] = line[:p] + sub + line[p + 1 :]
+    else:
+        parts = line.split(" ")
+        ints = [i for i, tok in enumerate(parts) if tok.lstrip("-").isdigit()]
+        if not ints:
+            return text
+        t = ints[k % len(ints)]
+        tok = parts[t]
+        parts[t] = {
+            "plus sign": "+" + tok,
+            "leading zero": "0" + tok,
+            "minus zero": "-0",
+            "arabic-indic digit": "\u0663",
+            "bump up": str(int(tok) + 1),
+            "bump down": str(int(tok) - 1),
+            "negate": str(-int(tok)),
+        }[kind]
+        lines[no] = " ".join(parts)
+    return "".join(line + "\n" for line in lines) if lines else ""
+
+
+MUTATIONS = [
+    "none",
+    "drop final newline",
+    "duplicate line",
+    "swap lines",
+    "delete line",
+    "borrow token",
+    "tab",
+    "carriage return",
+    "no-break space",
+    "plus sign",
+    "leading zero",
+    "minus zero",
+    "arabic-indic digit",
+    "bump up",
+    "bump down",
+    "negate",
+]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.lists(
+        st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_bulk_parser_agrees_with_line_by_line_reading(base, mutations):
+    text = differential_bases()[base]
+    for kind, i, k in mutations:
+        if text:
+            text = _mutate(text, kind, i, k)
+    try:
+        g = parse_multipartite(text)
+    except FormatError as e:
+        assert e.line >= 1
+        with pytest.raises(FormatError) as again:
+            _parse_by_line(text)
+        assert str(again.value) == str(e)
+        return
+    assert g == _parse_by_line(text)
+    assert serialise_multipartite(g) == text
+
+
+def test_parsed_graphs_share_equal_snapshot_sets():
+    g = parse_multipartite(differential_bases()[3])
+    records = [(j, ms) for per in g.snapshots.values() for j, ms in per.items()]
+    shared = {(j, id(ms)) for j, ms in records}
+    assert len(shared) == len(set(records)) < len(records)
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda t: t.replace("e 5 6", "e 6 5"), "lower id first"),
+        (lambda t: t + "s 6 2\n", "out of range"),
+        (lambda t: t.replace("v 0 1 b", "v 0 1 a"), "repeats"),
+        (lambda t: t.replace("v 0 0 a", "v 9 0 a"), "out of range"),
+        (lambda t: t.replace("e 0 4", "e 0 1"), "joins two level-0"),
+        (lambda t: t.replace("e 5 6", "e 5 99"), "undeclared"),
+        (lambda t: t + "s 9 0\n", "undeclared"),
+        (lambda t: t.replace("s 4 0 0 1 2", "s 4 0 0 1 4"), "not at level"),
+        (lambda t: t.replace("s 5 0 1 2 3", "s 5 0 1 3 2"), "strictly increasing"),
+    ],
+)
+def test_each_bulk_check_refuses_on_its_own(mutate, fragment):
+    # each text breaks one rule and keeps every other one, so only the
+    # bulk check for that rule stands between it and a wrong graph
+    text = mutate(serialise_multipartite(pipeline_graph()))
+    assert _parse_sections(text) is None
+    with pytest.raises(FormatError, match=fragment):
+        parse_multipartite(text)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("mgraph " + "1" * 5000 + "\n", 1),
+        ("mgraph 2\nv 0 " + "7" * 5000 + " a\n", 2),
+    ],
+)
+def test_decimals_past_the_digit_limit_are_format_errors(text, line):
+    with pytest.raises(FormatError, match="must be an integer") as exc:
+        parse_multipartite(text)
+    assert exc.value.line == line
