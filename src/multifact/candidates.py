@@ -40,12 +40,16 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import ContractError, IntegrityError, MultipartiteGraph
+from .core import ContractError, MultipartiteGraph, bit_indices
 
 MODES = ("weak", "factor", "clean")
 
 # brute-force subset enumeration is exponential; cap its use
 BRUTE_FORCE_LIMIT = 16
+
+# kept intents up to which the concept walk scans them all instead of
+# indexing them by bit; measured on small dense clean classes
+_SCAN_LIMIT = 64
 
 
 class Candidate:
@@ -138,28 +142,45 @@ def _closed_intents(obj_intents: Iterable[int], keep_mask: int) -> set[int]:
     The prune is exhaustive-safe because intersections only shrink: every
     prefix of a surviving intent is a superset of it and so survives too,
     and an object whose own intent fails can never join a survivor.
+
+    Once more than ``_SCAN_LIMIT`` intents are kept, an arriving object is
+    intersected only with the kept intents that share a kept bit with it,
+    looked up in an index from each kept bit to the kept intents containing
+    it.  That loses nothing: a kept intersection has two bits inside
+    ``keep_mask`` and each of its parts contains both, so every intent whose
+    intersection with the object survives the prune is filed under one of
+    the object's own kept bits.  Below the limit a full scan is cheaper than
+    keeping the index.
     """
     intents: set[int] = set()
+    by_bit: dict[int, set[int]] | None = None
     for om in obj_intents:
-        if (om & keep_mask).bit_count() < 2:
+        kept = om & keep_mask
+        if kept.bit_count() < 2:
             continue
-        cuts = {om}
-        cuts.update(f & om for f in intents)
+        if by_bit is None:
+            near = intents
+        else:
+            near = set().union(*[by_bit.get(b, ()) for b in bit_indices(kept)])
+        cuts = {f & om for f in near}
+        cuts.add(om)
         cuts -= intents
-        if cuts:
-            intents.update(
-                c for c in cuts if (c & keep_mask).bit_count() >= 2
-            )
+        if not cuts:
+            continue
+        fresh = [c for c in cuts if (c & keep_mask).bit_count() >= 2]
+        intents.update(fresh)
+        if by_bit is None:
+            if len(intents) <= _SCAN_LIMIT:
+                continue
+            by_bit, fresh = {}, intents
+        for c in fresh:
+            for b in bit_indices(c & keep_mask):
+                filed = by_bit.get(b)
+                if filed is None:
+                    by_bit[b] = {c}
+                else:
+                    filed.add(c)
     return intents
-
-
-def _bits_to_ids(mask: int, table: list[int]) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(table[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
 
 
 def _concept_candidates(
@@ -202,16 +223,17 @@ def _concept_candidates(
 
     out: list[Candidate] = []
     for intent in _closed_intents(sorted(obj_intents), keep_mask):
-        rest = intent
+        bits = bit_indices(intent)
         extent = -1
-        while rest:
-            low = rest & -rest
-            extent &= attr[low.bit_length() - 1]
-            rest ^= low
+        for j in bits:
+            extent &= attr[j]
         if extent.bit_count() < 2:
             continue
         out.append(
-            Candidate._from_sorted(_bits_to_ids(extent, uppers), _bits_to_ids(intent, lowers))
+            Candidate._from_sorted(
+                tuple(map(uppers.__getitem__, bit_indices(extent))),
+                tuple(map(lowers.__getitem__, bits)),
+            )
         )
     return out
 
@@ -248,30 +270,19 @@ def factor_candidates(g: MultipartiteGraph) -> CandidateFamily:
 def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
     """Group top-level vertices by neighbourhoods at level 0 and 2..top-2.
 
-    Those levels are immutable for a top vertex once created, so the
-    recorded snapshots must agree with the live neighbourhoods; a mismatch
-    means an earlier step corrupted the graph.
+    Levels are disjoint, so one set, the neighbourhood without levels 1 and
+    top-1, carries the same information as the per-level tuple.  A top
+    vertex is grouped in the step right after its creation, so its live
+    neighbourhoods still equal its creation snapshots; the key reads the
+    live ones, which also serves graphs built by hand without snapshots.
     """
     top = g.top
-    ps = (0, *range(2, top - 1))
     adj = g._adj
-    lvl = g._level_of
-    snaps = g.snapshots
-    groups: dict[tuple[frozenset[int], ...], list[int]] = {}
+    drop = g.levels[1] | g.levels[top - 1]
+    groups: dict[frozenset[int], list[int]] = {}
     for x in g.levels[top]:
-        buckets: dict[int, list[int]] = {}
-        for w in adj[x]:
-            buckets.setdefault(lvl[w], []).append(w)
-        key = tuple(frozenset(buckets.get(p, ())) for p in ps)
-        snap = snaps.get(x)
-        if snap is not None:
-            for p, part in zip(ps, key):
-                if snap[p] != part:
-                    raise IntegrityError(
-                        f"level-{p} neighbourhood of vertex {x} drifted from its snapshot"
-                    )
-        groups.setdefault(key, []).append(x)
-    return [sorted(v) for _, v in sorted(groups.items(), key=lambda kv: kv[1])]
+        groups.setdefault(adj[x] - drop, []).append(x)
+    return [sorted(v) for v in groups.values()]
 
 
 def clean_candidates(g: MultipartiteGraph) -> CandidateFamily:

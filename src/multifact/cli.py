@@ -3,7 +3,8 @@
 Reports and serialised graphs go to stdout and are byte-identical for
 identical input and flags; anything timing- or warning-shaped goes to
 stderr.  Exit codes: 0 success, 1 input error, 2 cap reached, 3
-verification failure.
+verification failure, a broken pipeline guarantee (``IntegrityError``)
+included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import lattice
 from .cliques import collapse_bipartite
-from .core import ContractError, Graph
+from .core import ContractError, Graph, IntegrityError
 from .fileio import (
     parse_edge_list,
     parse_multipartite,
@@ -71,9 +72,9 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_INPUT) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
+    return code
 
 
 def _run_series(g: Graph, mode: str, cap: int | None, low_memory: bool):
@@ -108,20 +109,25 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK if run.status.kind == "terminated" else EXIT_CAP
 
 
-def _lattice_checks(run: SeriesRun) -> tuple[dict, dict]:
-    # one family serves both checks and is freed before the round trip
-    # runs; it is looked up on the module, the one name every build uses
+def _lattice_checks(run: SeriesRun) -> tuple[dict, dict, dict]:
+    # one family (and its cliques) serves all three checks and is freed
+    # before the round trip runs; it is looked up on the module, the one
+    # name every build uses
     fam = lattice.intersection_family(run.source)
-    return verify_charseq_theorem(run, fam=fam), verify_v2_bijection(run, fam=fam)
+    return (
+        verify_charseq_theorem(run, fam=fam),
+        verify_v2_bijection(run, fam=fam),
+        size_bound(run.source, run.final, fam=fam),
+    )
 
 
 def _verify_report(g: Graph) -> dict:
     run = run_clean(g)
-    charseq, v2 = _lattice_checks(run)
+    charseq, v2, bound = _lattice_checks(run)
     checks = {
         "charseq_theorem": charseq,
         "v2_bijection": v2,
-        "size_bound": size_bound(g, run.final),
+        "size_bound": bound,
         "projection_roundtrip": roundtrip_report(run),
     }
     return {
@@ -160,7 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failures: list[dict] = []
         failed = 0
         for i in range(seeds):
-            report = _verify_report(random_graph(n, p, base + i))
+            try:
+                report = _verify_report(random_graph(n, p, base + i))
+            except IntegrityError as e:
+                raise IntegrityError(f"seed {base + i}: {e}") from None
             if not report["pass"]:
                 failed += 1
                 if len(failures) < 5:
@@ -304,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IntegrityError as e:
+        # a broken guarantee is a verification failure, reported in one line
+        return _fail(str(e), EXIT_FAILED)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ContractError, Graph, MultipartiteGraph, record_snapshots
+from .core import ContractError, Graph, MultipartiteGraph, bit_indices, record_snapshots
 
 
 @dataclass(frozen=True)
@@ -21,15 +21,6 @@ class CliqueSet:
 
     def __iter__(self):
         return iter(self.cliques)
-
-
-def _mask_to_vertices(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
 
 
 def maximal_cliques(g: Graph) -> CliqueSet:
@@ -52,28 +43,16 @@ def maximal_cliques(g: Graph) -> CliqueSet:
             found.append(clique)
             return
         # pivot: vertex of cand | excl covering the most candidates
-        pool = cand | excl
-        best, best_cover = -1, -1
-        p = pool
-        while p:
-            low = p & -p
-            u = low.bit_length() - 1
-            cover = (cand & nbr[u]).bit_count()
-            if cover > best_cover:
-                best, best_cover = u, cover
-            p ^= low
-        branches = cand & ~nbr[best]
-        while branches:
-            low = branches & -branches
-            v = low.bit_length() - 1
+        best = max(bit_indices(cand | excl), key=lambda u: (cand & nbr[u]).bit_count())
+        for v in bit_indices(cand & ~nbr[best]):
+            low = 1 << v
             expand(clique | low, cand & nbr[v], excl & nbr[v])
             cand ^= low
             excl |= low
-            branches ^= low
 
     if n:
         expand(0, (1 << n) - 1, 0)
-    cliques = sorted((_mask_to_vertices(m) for m in found), key=sorted)
+    cliques = sorted((frozenset(bit_indices(m)) for m in found), key=sorted)
     return CliqueSet(tuple(cliques))
 
 

@@ -21,6 +21,17 @@ class IntegrityError(RuntimeError):
     """A guarantee that should hold by construction was violated."""
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative mask, ascending."""
+    out = []
+    while mask:
+        b = mask.bit_length() - 1
+        out.append(b)
+        mask ^= 1 << b
+    out.reverse()
+    return out
+
+
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise ContractError(f"self-loop at vertex {u}")

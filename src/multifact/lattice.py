@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cliques import maximal_cliques
-from .core import ContractError, Graph, IntegrityError, MultipartiteGraph
+from .core import ContractError, Graph, IntegrityError, MultipartiteGraph, bit_indices
 from .series import SeriesRun
 
 # Failure reports keep a handful of witnesses; counts tell the rest.
@@ -44,42 +44,59 @@ class IntersectionFamily:
 
 
 def intersection_family(g: Graph) -> IntersectionFamily:
-    """Close the maximal cliques of g under intersections of two or more."""
+    """Close the maximal cliques of g under intersections of two or more.
+
+    Two cliques meet only if they share a vertex, so the closure is indexed
+    by vertex: ``through[v]`` is the mask of the cliques through v.  Each
+    clique is paired only with the later cliques through its own vertices,
+    and each element is folded only into the cliques that touch it.  The
+    cliques through all of an element's vertices are its supports.  The
+    empty set is an element exactly when there are two or more cliques and
+    all of them together share no vertex; three cliques can meet pairwise
+    and still do.  This fold stays separate from the candidates' concept
+    walk on purpose: the family is the reference the decomposition is
+    checked against.
+    """
     ks = maximal_cliques(g)
     masks = [sum(1 << v for v in c) for c in ks.cliques]
+    through = [0] * g.vertex_count
+    for i, c in enumerate(ks.cliques):
+        for v in c:
+            through[v] |= 1 << i
+
     seen: set[int] = set()
-    frontier: list[int] = []
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            m = masks[i] & masks[j]
+    frontier: list[tuple[int, list[int]]] = []
+    for i, c in enumerate(ks.cliques):
+        near = 0
+        for v in c:
+            near |= through[v]
+        for j in bit_indices(near >> (i + 1)):
+            m = masks[i] & masks[i + 1 + j]
             if m not in seen:
                 seen.add(m)
-                frontier.append(m)
-    # folding single cliques into known elements reaches every deeper
-    # intersection; the family ends up closed under mutual intersection
+                frontier.append((m, bit_indices(m)))
+    # folding each element once into the cliques that touch it without
+    # containing it reaches every deeper nonempty intersection
+    everyone = (1 << len(masks)) - 1
+    supports: dict[frozenset[int], frozenset[int]] = {}
     while frontier:
         fresh = []
-        for a in frontier:
-            for cm in masks:
-                x = a & cm
+        for a, vs in frontier:
+            near, common = 0, everyone
+            for v in vs:
+                near |= through[v]
+                common &= through[v]
+            supports[frozenset(vs)] = frozenset(bit_indices(common))
+            for j in bit_indices(near & ~common):
+                x = a & masks[j]
                 if x not in seen:
                     seen.add(x)
-                    fresh.append(x)
+                    fresh.append((x, bit_indices(x)))
         frontier = fresh
-
-    def unmask(mask: int) -> frozenset[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(out)
-
-    elements = frozenset(unmask(m) for m in seen)
+    if len(masks) >= 2 and not frozenset.intersection(*ks.cliques):
+        supports[frozenset()] = frozenset(range(len(masks)))
+    elements = frozenset(supports)
     nontrivial = tuple(sorted((o for o in elements if len(o) >= 2), key=_canon_key))
-    supports = {
-        o: frozenset(i for i, c in enumerate(ks.cliques) if o <= c) for o in elements
-    }
     families = frozenset(supports[o] for o in elements)
 
     supersets = {
@@ -189,7 +206,7 @@ class _Resolver:
             fmask = 0
             for c in common:
                 fmask |= 1 << to_clique[c]
-            element = frozenset.intersection(*(fam.cliques[i] for i in _bitlist(fmask)))
+            element = frozenset.intersection(*(fam.cliques[i] for i in bit_indices(fmask)))
             # the shared cliques must be exactly the cliques of the entry,
             # otherwise no set satisfies the defining equation
             kmask = full
@@ -201,15 +218,6 @@ class _Resolver:
                 )
             entries.append(element)
         return CharSeq(vertex=x, entries=tuple(entries), sentinel_at=tuple(sentinel_at))
-
-
-def _bitlist(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def characterising_sequence(
@@ -348,17 +356,21 @@ def verify_v2_bijection(run: SeriesRun, fam: IntersectionFamily | None = None) -
     }
 
 
-def size_bound(g: Graph, m: MultipartiteGraph) -> dict:
+def size_bound(
+    g: Graph, m: MultipartiteGraph, fam: IntersectionFamily | None = None
+) -> dict:
     """Exact-arithmetic bound on the decomposition size.
 
     With every vertex of g in at most k maximal cliques and no clique larger
     than c, the decomposition of an n-vertex graph cannot exceed
-    4 * min(k * 2^c * c!, 2^k * k!) * n vertices.
+    4 * min(k * 2^c * c!, 2^k * k!) * n vertices.  A given ``fam`` (the
+    intersection family of g) supplies the cliques, so they are not
+    enumerated again.
     """
-    ks = maximal_cliques(g)
+    cliques = maximal_cliques(g).cliques if fam is None else fam.cliques
     per_vertex = [0] * g.vertex_count
     c = 0
-    for clique in ks.cliques:
+    for clique in cliques:
         c = max(c, len(clique))
         for v in clique:
             per_vertex[v] += 1

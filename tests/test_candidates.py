@@ -1,4 +1,7 @@
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifact import (
     BRUTE_FORCE_LIMIT,
@@ -16,7 +19,8 @@ from multifact import (
     run_weak,
     weak_candidates,
 )
-from multifact.candidates import candidate_family
+from multifact import candidates
+from multifact.candidates import _closed_intents, candidate_family
 
 
 def pairs(fam: CandidateFamily) -> set[tuple[frozenset[int], frozenset[int]]]:
@@ -176,3 +180,72 @@ def test_effectiveness_nesting(seed):
             assert factor_candidates(m).effective
         if factor_candidates(m).effective:
             assert weak_candidates(m).effective
+
+
+def _all_pairs_closure(obj_intents, keep_mask):
+    """The concept walk before it was indexed: every object meets every intent.
+
+    Kept as the reference the indexed walk is compared with.
+    """
+    intents = set()
+    for om in obj_intents:
+        if (om & keep_mask).bit_count() < 2:
+            continue
+        cuts = {om}
+        cuts.update(f & om for f in intents)
+        cuts -= intents
+        if cuts:
+            intents.update(c for c in cuts if (c & keep_mask).bit_count() >= 2)
+    return intents
+
+
+def _masks(width: int, bits: st.SearchStrategy[int]) -> st.SearchStrategy[int]:
+    """Masks over ``width`` attributes with a drawn number of set bits."""
+    return bits.flatmap(
+        lambda k: st.sets(st.integers(0, width - 1), min_size=k, max_size=k).map(
+            lambda bs: sum(1 << b for b in bs)
+        )
+    )
+
+
+def _context(width: int, bits: st.SearchStrategy[int], max_objects: int):
+    objects = st.lists(_masks(width, bits), max_size=max_objects)
+    # duplicates and the empty object are in on purpose
+    objects = st.tuples(objects, st.integers(0, 3)).map(
+        lambda t: t[0] + t[0][: t[1]] + [0] * (t[1] % 2)
+    )
+    keep = st.one_of(st.just((1 << width) - 1), st.integers(0, (1 << width) - 1))
+    return st.tuples(objects, keep)
+
+
+CONTEXTS = st.one_of(
+    _context(40, st.integers(0, 3), 160),  # sparse: 0-3 bits over 40 attributes
+    _context(12, st.integers(5, 12), 40),  # dense
+    _context(20, st.integers(0, 20), 60),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(CONTEXTS)
+def test_closed_intents_match_the_all_pairs_closure(context):
+    objects, keep_mask = context
+    want = _all_pairs_closure(objects, keep_mask)
+    saved = candidates._SCAN_LIMIT
+    try:
+        # the full scan, the index from the first intent on, and the default
+        for limit in (sys.maxsize, 0, saved):
+            candidates._SCAN_LIMIT = limit
+            assert _closed_intents(objects, keep_mask) == want
+            assert _closed_intents(sorted(set(objects)), keep_mask) == want
+    finally:
+        candidates._SCAN_LIMIT = saved
+
+
+def test_closed_intents_index_is_exercised():
+    # a dense context whose kept intents outgrow the full scan
+    objects = [((1 << 12) - 1) ^ (1 << i) ^ (1 << (i + 3) % 12) for i in range(12)]
+    objects += [m & ~(1 << j) for m in objects for j in (0, 5)]
+    keep_mask = ((1 << 12) - 1) ^ 0b11
+    got = _closed_intents(objects, keep_mask)
+    assert len(got) > candidates._SCAN_LIMIT
+    assert got == _all_pairs_closure(objects, keep_mask)

@@ -6,6 +6,7 @@ import pytest
 
 from multifact import (
     Graph,
+    IntegrityError,
     clique_incidence,
     random_graph,
     serialise_edge_list,
@@ -154,7 +155,7 @@ class TestVerify:
         assert "Traceback" not in err
 
     def test_builds_the_intersection_family_once(self, fix_chain_file, capsys, monkeypatch):
-        from multifact import lattice
+        from multifact import cliques, lattice
 
         builds = []
         real = lattice.intersection_family
@@ -164,9 +165,21 @@ class TestVerify:
             return real(g)
 
         monkeypatch.setattr(lattice, "intersection_family", counting)
+        # cliques are enumerated once for the clean run and once for the
+        # family, whose cliques the size bound reuses
+        enumerations = []
+        for module in (cliques, lattice):
+            real_cliques = module.maximal_cliques
+
+            def counting_cliques(g, real_cliques=real_cliques):
+                enumerations.append(g)
+                return real_cliques(g)
+
+            monkeypatch.setattr(module, "maximal_cliques", counting_cliques)
         assert main(["verify", str(fix_chain_file)]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
         assert len(builds) == 1
+        assert len(enumerations) == 2
 
     def test_requires_an_input(self, capsys):
         assert main(["verify"]) == 1
@@ -239,6 +252,31 @@ def test_zero_cap_is_one_error_line(diamond_file, command, mode, capsys):
     assert main([command, str(diamond_file), "--mode", mode, "--cap", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: cap must be positive, got 0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "{input}"],
+        ["stats", "{input}"],
+        ["verify", "{input}"],
+        ["verify", "--random", "n=6", "seeds=3"],
+    ],
+    ids=["decompose", "stats", "verify-file", "verify-random"],
+)
+def test_integrity_error_exits_3_with_one_line(diamond_file, argv, capsys, monkeypatch):
+    def broken(g, low_memory=False):
+        raise IntegrityError("clean series did not stop within rank 4")
+
+    monkeypatch.setattr(cli, "run_clean", broken)
+    rc = main([a.format(input=diamond_file) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "did not stop within rank 4" in captured.err
+    assert ("seed " in captured.err) == ("--random" in argv)
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

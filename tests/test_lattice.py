@@ -88,6 +88,118 @@ class TestIntersectionFamily:
                 assert a & c in fam.elements
 
 
+def old_family(g: Graph):
+    """The family before it was vertex-indexed: every clique meets every element.
+
+    Returns (elements, supports, supersets, height), computed by the
+    all-pairs fold and a scan of every element against every clique; kept
+    as the reference the indexed fold is compared with.
+    """
+    cliques = maximal_cliques(g).cliques
+    masks = [sum(1 << v for v in c) for c in cliques]
+    seen = {masks[i] & masks[j] for i in range(len(masks)) for j in range(i + 1, len(masks))}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for cm in masks:
+                if a & cm not in seen:
+                    seen.add(a & cm)
+                    fresh.append(a & cm)
+        frontier = fresh
+    elements = {frozenset(v for v in range(g.vertex_count) if m >> v & 1) for m in seen}
+    supports = {o: {i for i, c in enumerate(cliques) if o <= c} for o in elements}
+    nontrivial = [o for o in elements if len(o) >= 2]
+    supersets = {o: {p for p in nontrivial if o < p} for o in nontrivial}
+    tallest: dict[frozenset[int], int] = {}
+    for o in sorted(nontrivial, key=len):
+        tallest[o] = 1 + max((tallest[p] for p in nontrivial if p < o), default=0)
+    return elements, supports, supersets, max(tallest.values(), default=0)
+
+
+def band_graph(blocks: int, width: int, step: int) -> Graph:
+    """Overlapping cliques: block i spans vertices step*i .. step*i+width-1."""
+    edges = {
+        (f"v{u:03d}", f"v{v:03d}")
+        for i in range(blocks)
+        for u in range(step * i, step * i + width)
+        for v in range(u + 1, step * i + width)
+    }
+    return Graph.from_edge_list(sorted(edges))
+
+
+class TestIndexedFamily:
+    """The vertex-indexed fold against literal scans and the old fold."""
+
+    def test_supports_match_a_literal_scan(self):
+        for g in (random_graph(30, 0.2, 5), random_graph(40, 0.1, 6), band_graph(10, 6, 2)):
+            fam = intersection_family(g)
+            for o, sup in fam.supports.items():
+                assert sup == {i for i, c in enumerate(fam.cliques) if o <= c}
+
+    def test_empty_set_only_through_a_triple(self):
+        # triangle abc with a triangle on each side: the side triangles meet
+        # pairwise (in a, b or c) but no vertex lies in all three
+        g = Graph.from_edge_list(
+            [("a", "b"), ("b", "c"), ("a", "c"), ("a", "x"), ("b", "x"),
+             ("b", "y"), ("c", "y"), ("a", "z"), ("c", "z")]
+        )
+        fam = intersection_family(g)
+        assert len(fam.cliques) == 4
+        assert all(p & q for p in fam.cliques for q in fam.cliques)
+        assert frozenset() in fam.elements
+        assert fam.supports[frozenset()] == frozenset(range(4))
+        assert fam.elements == brute_elements(g)
+
+    @pytest.mark.parametrize("n, p, seed", [(8, 0.7, 399), (8, 0.6, 443), (8, 0.5, 1751)])
+    def test_deep_elements_need_every_fold(self, n, p, seed):
+        # the smallest graphs found (n <= 8, 3000 seeds per n and p) with an
+        # element that folding each element into only its first touching
+        # clique misses
+        g = random_graph(n, p, seed)
+        assert intersection_family(g).elements == brute_elements(g)
+
+    def test_star_has_no_empty_element(self):
+        star = Graph.from_edge_list([("s", leaf) for leaf in "abcd"])
+        fam = intersection_family(star)
+        assert fam.elements == {frozenset({star.labels.index("s")})}
+        assert fam.supports[frozenset({star.labels.index("s")})] == frozenset(range(4))
+        assert frozenset() not in fam.elements
+
+    def test_single_clique_has_no_elements(self, k3):
+        fam = intersection_family(k3)
+        assert fam.elements == frozenset() and fam.supports == {}
+        assert fam.height == 0
+
+    def test_isolated_vertices(self):
+        g = Graph(["a", "b", "c"], [(0, 1)])
+        fam = intersection_family(g)
+        assert fam.cliques == (frozenset({0, 1}), frozenset({2}))
+        assert fam.elements == {frozenset()} == brute_elements(g)
+        assert fam.supports[frozenset()] == frozenset({0, 1})
+        lone = intersection_family(Graph(["a"], []))
+        assert lone.elements == frozenset()
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            band_graph(24, 8, 4),
+            band_graph(40, 9, 3),
+            band_graph(60, 6, 2),
+            random_graph(300, 12 / 299, 1),
+            random_graph(16, 0.7, 16 * 7919 + 7 * 104729),
+        ],
+        ids=["band-24-8-4", "band-40-9-3", "band-60-6-2", "gnp-300", "gnp-16-dense"],
+    )
+    def test_matches_the_old_fold(self, g):
+        fam = intersection_family(g)
+        elements, supports, supersets, height = old_family(g)
+        assert fam.elements == elements
+        assert fam.supports == supports
+        assert {o: set(fam.strict_supersets(o)) for o in fam.nontrivial} == supersets
+        assert fam.height == height
+
+
 class TestChains:
     def test_fix_chain_chains(self, fix_chain):
         fam = intersection_family(fix_chain)

@@ -48,6 +48,19 @@ def test_every_stage_is_a_partition_without_intra_level_edges(g):
             assert m.level_of(u) != m.level_of(v)
 
 
+@settings(max_examples=40, **COMMON)
+@given(gnp, st.integers(min_value=1, max_value=3))
+def test_top_vertices_still_match_their_snapshots(g, cap):
+    # the clean classes key on live neighbourhoods, which is sound because
+    # a top level is grouped right after its creation, before anything
+    # could cut its edges
+    for run in (run_weak(g, cap=cap), run_factor(g, cap=cap), run_clean(g)):
+        for m in run.graphs:
+            for x in m.levels[m.top]:
+                for j in range(m.top):
+                    assert m.level_neighbours(x, j) == m.snapshot(x, j)
+
+
 @settings(max_examples=60, **COMMON)
 @given(gnp)
 def test_snapshots_never_change_once_recorded(g):
