@@ -9,17 +9,8 @@ from .candidates import (
     factor_candidates,
     weak_candidates,
 )
-from .cli import random_graph, suite_seed
-from .cliques import CliqueSet, clique_incidence, collapse_bipartite, maximal_cliques
-from .core import (
-    ContractError,
-    Graph,
-    IntegrityError,
-    MultipartiteGraph,
-    level_neighbourhood,
-    neighbourhood,
-    record_snapshots,
-)
+from .cliques import clique_incidence, collapse_bipartite, maximal_cliques
+from .core import ContractError, Graph, IntegrityError, MultipartiteGraph, record_snapshots
 from .fileio import (
     FormatError,
     parse_edge_list,
@@ -49,7 +40,7 @@ from .series import (
     series_stats,
 )
 from .transform import FactorStep, factorise, project
-from .witness import ApexWitness, apex_graph, find_apex_witness
+from .witness import ApexWitness, apex_graph, find_apex_witness, random_graph, suite_seed
 
 __version__ = "0.1.0"
 
@@ -59,7 +50,6 @@ __all__ = [
     "Candidate",
     "CandidateFamily",
     "CharSeq",
-    "CliqueSet",
     "ContractError",
     "DEFAULT_CAP",
     "FactorStep",
@@ -82,9 +72,7 @@ __all__ = [
     "factorise",
     "find_apex_witness",
     "intersection_family",
-    "level_neighbourhood",
     "maximal_cliques",
-    "neighbourhood",
     "parse_edge_list",
     "parse_multipartite",
     "project",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import lattice
@@ -34,29 +33,12 @@ from .series import (
     series_stats,
 )
 from .transform import project
+from .witness import random_graph, suite_seed
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_FAILED = 3
-
-
-def random_graph(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) instance with labels x0..x{n-1}; same seed, same graph."""
-    rng = random.Random(seed)
-    labels = [f"x{i}" for i in range(n)]
-    edges = [
-        (labels[u], labels[v])
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return Graph.from_edge_list(edges, extra_vertices=labels)
-
-
-def suite_seed(n: int, p: float, i: int) -> int:
-    """Per-instance seed of the random sweep; stable across runs and hosts."""
-    return n * 7919 + int(p * 10) * 104729 + i
 
 
 def _read(path: str) -> str:
@@ -77,13 +59,14 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
     return code
 
 
-def _run_series(g: Graph, mode: str, cap: int | None, low_memory: bool):
+def _run_series(g: Graph, mode: str, cap: int | None) -> SeriesRun:
+    # decompose and stats read only the final stage
     if mode == "clean":
         if cap is not None:
             print("warning: --cap is ignored in clean mode", file=sys.stderr)
-        return run_clean(g, low_memory=low_memory)
+        return run_clean(g, low_memory=True)
     runner = run_weak if mode == "weak" else run_factor
-    return runner(g, cap=DEFAULT_CAP if cap is None else cap, low_memory=low_memory)
+    return runner(g, cap=DEFAULT_CAP if cap is None else cap, low_memory=True)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -94,7 +77,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except ContractError as e:
         return _fail(f"{args.input}: {e}")
     try:
-        run = _run_series(g, args.mode, args.cap, args.low_memory)
+        run = _run_series(g, args.mode, args.cap)
     except ContractError as e:
         return _fail(str(e))
     blob = serialise_multipartite(run.final)
@@ -117,7 +100,7 @@ def _lattice_checks(run: SeriesRun) -> tuple[dict, dict, dict]:
     return (
         verify_charseq_theorem(run, fam=fam),
         verify_v2_bijection(run, fam=fam),
-        size_bound(run.source, run.final, fam=fam),
+        size_bound(run.source, run.final, cliques=fam.cliques),
     )
 
 
@@ -230,7 +213,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     except ContractError as e:
         return _fail(f"{args.input}: {e}")
     try:
-        run = _run_series(g, args.mode, args.cap, args.low_memory)
+        run = _run_series(g, args.mode, args.cap)
     except ContractError as e:
         return _fail(str(e))
     stats = series_stats(run)
@@ -241,7 +224,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
         total += ms
         print(f"step {step['step']} ({step['rule']}): {ms:.1f} ms", file=sys.stderr)
     print(f"total: {total:.1f} ms", file=sys.stderr)
-    stats["final"]["bound"] = size_bound(g, run.final) if args.mode == "clean" else None
+    if args.mode == "clean":
+        # the level-1 vertices' creation snapshots are the maximal cliques
+        m = run.final
+        cliques = [m.snapshots[y][0] for y in m.levels[1]]
+        stats["final"]["bound"] = size_bound(g, m, cliques=cliques)
+    else:
+        stats["final"]["bound"] = None
     print(json.dumps(stats, indent=2))
     return EXIT_OK if run.status.kind == "terminated" else EXIT_CAP
 
@@ -269,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help=f"step cap for weak/factor runs (default {DEFAULT_CAP}); clean runs ignore it",
-        )
-        p.add_argument(
-            "--low-memory",
-            action="store_true",
-            help="keep only the final graph instead of every stage",
         )
 
     d = sub.add_parser("decompose", help="run a factorisation series on an edge list")

@@ -2,33 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import ContractError, Graph, MultipartiteGraph, bit_indices, record_snapshots
 
 
-@dataclass(frozen=True)
-class CliqueSet:
-    """Canonically ordered maximal cliques plus a vertex -> clique index."""
-
-    cliques: tuple[frozenset[int], ...]
-
-    def containing(self, x: int) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.cliques) if x in c)
-
-    def __len__(self) -> int:
-        return len(self.cliques)
-
-    def __iter__(self):
-        return iter(self.cliques)
-
-
-def maximal_cliques(g: Graph) -> CliqueSet:
+def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
     """All inclusion-maximal cliques of g, isolated vertices included.
 
-    Branch and bound over (partial clique, candidates, excluded) with the
-    usual pivot trick: only candidates outside the pivot's neighbourhood
-    spawn branches.
+    Returned in canonical order (by sorted member list).  Branch and bound
+    over (partial clique, candidates, excluded) with Tomita pivoting: only
+    candidates outside the pivot's neighbourhood spawn branches.  Branches
+    wait on an explicit stack, so a clique of any size costs no recursion.
     """
     n = g.vertex_count
     nbr = [0] * n
@@ -37,23 +20,21 @@ def maximal_cliques(g: Graph) -> CliqueSet:
         nbr[v] |= 1 << u
 
     found: list[int] = []
-
-    def expand(clique: int, cand: int, excl: int) -> None:
-        if cand == 0 and excl == 0:
-            found.append(clique)
-            return
+    stack = [(0, (1 << n) - 1, 0)] if n else []
+    while stack:
+        clique, cand, excl = stack.pop()
+        if not cand:
+            if not excl:
+                found.append(clique)
+            continue
         # pivot: vertex of cand | excl covering the most candidates
         best = max(bit_indices(cand | excl), key=lambda u: (cand & nbr[u]).bit_count())
         for v in bit_indices(cand & ~nbr[best]):
             low = 1 << v
-            expand(clique | low, cand & nbr[v], excl & nbr[v])
+            stack.append((clique | low, cand & nbr[v], excl & nbr[v]))
             cand ^= low
             excl |= low
-
-    if n:
-        expand(0, (1 << n) - 1, 0)
-    cliques = sorted((frozenset(bit_indices(m)) for m in found), key=sorted)
-    return CliqueSet(tuple(cliques))
+    return tuple(sorted((frozenset(bit_indices(m)) for m in found), key=sorted))
 
 
 def clique_incidence(g: Graph) -> MultipartiteGraph:
@@ -64,11 +45,10 @@ def clique_incidence(g: Graph) -> MultipartiteGraph:
     clique vertex's level-0 snapshot is its member set.
     """
     n = g.vertex_count
-    ks = maximal_cliques(g)
     labels = {x: g.labels[x] for x in range(n)}
     level1 = []
     edges = []
-    for i, c in enumerate(ks):
+    for i, c in enumerate(maximal_cliques(g)):
         cid = n + i
         level1.append(cid)
         labels[cid] = f"L1#{i}"

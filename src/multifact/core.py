@@ -84,9 +84,6 @@ class Graph:
             raise KeyError(x)
         return self._adj[x]
 
-    def label_set(self, xs: Iterable[int]) -> frozenset[str]:
-        return frozenset(self.labels[x] for x in xs)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -235,9 +232,6 @@ class MultipartiteGraph:
         """Creation-time level-j neighbourhood of x.  KeyError when unrecorded."""
         return self.snapshots[x][j]
 
-    def has_snapshot(self, x: int) -> bool:
-        return x in self.snapshots
-
     def level_sizes(self) -> tuple[int, ...]:
         return tuple(len(lv) for lv in self.levels)
 
@@ -253,16 +247,6 @@ class MultipartiteGraph:
 
     def __repr__(self) -> str:
         return f"MultipartiteGraph(levels={self.level_sizes()}, m={self._edge_count})"
-
-
-def neighbourhood(g: Graph | MultipartiteGraph, x: int) -> frozenset[int]:
-    """All neighbours of x."""
-    return g.neighbours(x)
-
-
-def level_neighbourhood(g: MultipartiteGraph, x: int, i: int) -> frozenset[int]:
-    """Neighbours of x lying at level i."""
-    return g.level_neighbours(x, i)
 
 
 def record_snapshots(g: MultipartiteGraph) -> MultipartiteGraph:
@@ -281,23 +265,3 @@ def record_snapshots(g: MultipartiteGraph) -> MultipartiteGraph:
         g.levels, dict(g.labels), dict(g._adj), snaps, g._edge_count
     )
 
-
-def level_blocks(g: MultipartiteGraph) -> list[tuple[int, int]] | None:
-    """Per-level contiguous id ranges [start, stop), or None when not blocked.
-
-    Pipeline-built graphs always satisfy this layout; hand-built ones need
-    not.  Fast paths use the block structure and fall back otherwise.
-    """
-    blocks: list[tuple[int, int]] = []
-    next_free = 0
-    for lv in g.levels:
-        size = len(lv)
-        if size == 0:
-            blocks.append((next_free, next_free))
-            continue
-        lo, hi = min(lv), max(lv)
-        if lo != next_free or hi - lo + 1 != size:
-            return None
-        blocks.append((lo, hi + 1))
-        next_free = hi + 1
-    return blocks

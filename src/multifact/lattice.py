@@ -28,14 +28,17 @@ def _canon_key(s: frozenset[int]):
 
 @dataclass(eq=False)
 class IntersectionFamily:
-    """Intersections of maximal cliques, their supports, and the chain order."""
+    """Intersections of maximal cliques, their supports, and the chain order.
+
+    ``through[v]`` is the mask of the cliques through source vertex v.
+    """
 
     universe: frozenset[int]
     cliques: tuple[frozenset[int], ...]
+    through: list[int]
     elements: frozenset[frozenset[int]]
     nontrivial: tuple[frozenset[int], ...]
     supports: dict[frozenset[int], frozenset[int]]
-    clique_families: frozenset[frozenset[int]]
     height: int
     _supersets: dict[frozenset[int], tuple[frozenset[int], ...]]
 
@@ -58,15 +61,15 @@ def intersection_family(g: Graph) -> IntersectionFamily:
     checked against.
     """
     ks = maximal_cliques(g)
-    masks = [sum(1 << v for v in c) for c in ks.cliques]
+    masks = [sum(1 << v for v in c) for c in ks]
     through = [0] * g.vertex_count
-    for i, c in enumerate(ks.cliques):
+    for i, c in enumerate(ks):
         for v in c:
             through[v] |= 1 << i
 
     seen: set[int] = set()
     frontier: list[tuple[int, list[int]]] = []
-    for i, c in enumerate(ks.cliques):
+    for i, c in enumerate(ks):
         near = 0
         for v in c:
             near |= through[v]
@@ -93,11 +96,10 @@ def intersection_family(g: Graph) -> IntersectionFamily:
                     seen.add(x)
                     fresh.append((x, bit_indices(x)))
         frontier = fresh
-    if len(masks) >= 2 and not frozenset.intersection(*ks.cliques):
+    if len(masks) >= 2 and not frozenset.intersection(*ks):
         supports[frozenset()] = frozenset(range(len(masks)))
     elements = frozenset(supports)
     nontrivial = tuple(sorted((o for o in elements if len(o) >= 2), key=_canon_key))
-    families = frozenset(supports[o] for o in elements)
 
     supersets = {
         o: tuple(sorted((p for p in nontrivial if o < p), key=_canon_key))
@@ -111,11 +113,11 @@ def intersection_family(g: Graph) -> IntersectionFamily:
 
     return IntersectionFamily(
         universe=frozenset(g.vertices()),
-        cliques=ks.cliques,
+        cliques=ks,
+        through=through,
         elements=elements,
         nontrivial=nontrivial,
         supports=supports,
-        clique_families=families,
         height=height,
         _supersets=supersets,
     )
@@ -167,24 +169,18 @@ def _level1_clique_map(m: MultipartiteGraph, fam: IntersectionFamily) -> dict[in
 class _Resolver:
     """Shared tables for resolving many sequences against one clique family."""
 
-    __slots__ = ("m", "fam", "to_clique", "member_mask")
+    __slots__ = ("m", "fam", "to_clique")
 
     def __init__(self, m: MultipartiteGraph, fam: IntersectionFamily):
         self.m = m
         self.fam = fam
         self.to_clique = _level1_clique_map(m, fam) if m.top >= 1 else {}
-        # which cliques each source vertex belongs to, as a bitmask
-        masks: dict[int, int] = {}
-        for i, c in enumerate(fam.cliques):
-            for v in c:
-                masks[v] = masks.get(v, 0) | (1 << i)
-        self.member_mask = masks
 
     def sequence(self, x: int) -> CharSeq:
         m = self.m
         fam = self.fam
         to_clique = self.to_clique
-        member_mask = self.member_mask
+        through = fam.through
         full = (1 << len(fam.cliques)) - 1
         k = m._level_of[x]
         if k < 2:
@@ -211,7 +207,7 @@ class _Resolver:
             # otherwise no set satisfies the defining equation
             kmask = full
             for v in element:
-                kmask &= member_mask[v]
+                kmask &= through[v]
             if kmask != fmask:
                 raise IntegrityError(
                     f"vertex {x}: no set is carried by exactly the shared cliques at level {j}"
@@ -357,17 +353,17 @@ def verify_v2_bijection(run: SeriesRun, fam: IntersectionFamily | None = None) -
 
 
 def size_bound(
-    g: Graph, m: MultipartiteGraph, fam: IntersectionFamily | None = None
+    g: Graph, m: MultipartiteGraph, cliques: Iterable[frozenset[int]] | None = None
 ) -> dict:
     """Exact-arithmetic bound on the decomposition size.
 
     With every vertex of g in at most k maximal cliques and no clique larger
     than c, the decomposition of an n-vertex graph cannot exceed
-    4 * min(k * 2^c * c!, 2^k * k!) * n vertices.  A given ``fam`` (the
-    intersection family of g) supplies the cliques, so they are not
-    enumerated again.
+    4 * min(k * 2^c * c!, 2^k * k!) * n vertices.  Given ``cliques``, the
+    maximal cliques of g in any order, they are not enumerated again.
     """
-    cliques = maximal_cliques(g).cliques if fam is None else fam.cliques
+    if cliques is None:
+        cliques = maximal_cliques(g)
     per_vertex = [0] * g.vertex_count
     c = 0
     for clique in cliques:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .candidates import CandidateFamily, clean_candidates, factor_candidates, weak_candidates
 from .cliques import clique_incidence
 from .core import ContractError, Graph, IntegrityError, MultipartiteGraph
-from .transform import FactorStep, factorise, project
+from .transform import factorise, project
 
 DEFAULT_CAP = 100
 
@@ -50,13 +50,12 @@ class SeriesRun:
 
     ``graphs[i]`` is stage i+1; stage 1 is the clique incidence of ``source``.
     With ``low_memory`` only the final stage is retained (snapshots travel
-    with it) and per-step graphs and edge sets are dropped.
+    with it).
     """
 
     mode: str
     source: Graph
     graphs: list[MultipartiteGraph]
-    steps: list[FactorStep]
     status: RunStatus
     stats: list[StepStats] = field(default_factory=list)
 
@@ -84,7 +83,6 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
         raise ContractError(f"cap must be positive, got {cap}")
     current = clique_incidence(g)
     graphs = [current]
-    steps: list[FactorStep] = []
     stats: list[StepStats] = []
     index = 0
     while True:
@@ -110,19 +108,16 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
         )
         if not step.effective:
             status = RunStatus("terminated", rank=index)
-            if not low_memory:
-                steps.append(step)
             break
         current = step.after
         if low_memory:
             graphs = [current]
         else:
             graphs.append(current)
-            steps.append(step)
         if cap is not None and index == cap:
             status = RunStatus("cap-reached", cap=cap)
             break
-    return SeriesRun(mode, g, graphs, steps, status, stats)
+    return SeriesRun(mode, g, graphs, status, stats)
 
 
 def run_weak(g: Graph, cap: int = DEFAULT_CAP, low_memory: bool = False) -> SeriesRun:
@@ -164,12 +159,10 @@ def roundtrip_report(run: SeriesRun) -> dict:
         raise ContractError("roundtrip check needs a run with every stage retained")
     failures = []
     checked = 0
-    for step in run.steps:
-        if not step.effective:
-            continue
+    for before, after in zip(run.graphs, run.graphs[1:]):
         checked += 1
-        if project(step.after) != step.before:
-            failures.append(f"stage with top level {step.after.top} does not project back")
+        if project(after) != before:
+            failures.append(f"stage with top level {after.top} does not project back")
     return {"pass": not failures, "checked": checked, "failures": failures}
 
 

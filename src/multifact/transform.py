@@ -10,33 +10,23 @@ any effective step.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
-from .core import (
-    ContractError,
-    IntegrityError,
-    MultipartiteGraph,
-    canonical_edge,
-    level_blocks,
-)
+from .core import ContractError, IntegrityError, MultipartiteGraph, canonical_edge
 from .candidates import Candidate, CandidateFamily
 
 
 class FactorStep:
-    """Record of one factorising step: graphs before and after, and the family."""
+    """Record of one factorising step: the family and the graph it produced."""
 
-    __slots__ = ("before", "family", "after", "new_vertices", "removed_count", "added_count")
+    __slots__ = ("family", "after", "new_vertices", "removed_count", "added_count")
 
     def __init__(
         self,
-        before: MultipartiteGraph,
         family: CandidateFamily,
         after: MultipartiteGraph,
         new_vertices: dict[int, Candidate],
         removed_count: int,
         added_count: int,
     ):
-        self.before = before
         self.family = family
         self.after = after
         self.new_vertices = new_vertices
@@ -73,28 +63,6 @@ class FactorStep:
         )
 
 
-def _split_levels_blocked(
-    ids: tuple[int, ...], blocks: list[tuple[int, int]], top: int
-) -> dict[int, frozenset[int]]:
-    # ids ascending; level blocks are disjoint ascending ranges
-    snap: dict[int, frozenset[int]] = {}
-    for p in range(top):
-        start, stop = blocks[p]
-        a = bisect_left(ids, start)
-        b = bisect_left(ids, stop)
-        snap[p] = frozenset(ids[a:b])
-    return snap
-
-
-def _split_levels_generic(
-    ids: tuple[int, ...], level_of: dict[int, int], top: int
-) -> dict[int, frozenset[int]]:
-    buckets: dict[int, list[int]] = {}
-    for w in ids:
-        buckets.setdefault(level_of[w], []).append(w)
-    return {p: frozenset(buckets.get(p, ())) for p in range(top)}
-
-
 def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
     """Apply one factorising step.  An empty family leaves the graph alone."""
     top = g.top
@@ -103,10 +71,10 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
             f"family targets level {family.k} but the graph tops out at level {top}"
         )
     if not family.members:
-        return FactorStep(g, family, g, {}, 0, 0)
+        return FactorStep(family, g, {}, 0, 0)
 
-    blocks = level_blocks(g)
-    base = max(g._level_of) + 1
+    level_of = g._level_of
+    base = max(level_of) + 1
     top_level = g.levels[top]
     adj = g._adj
 
@@ -124,10 +92,12 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
         new_vertices[x] = c
         labels[x] = f"L{family.k}#{i}"
         added_count += len(c.full_set)
-        if blocks is not None:
-            snap = _split_levels_blocked(c._l, blocks, top)
-        else:
-            snap = _split_levels_generic(c._l, g._level_of, top)
+        # a top-level member of a malformed lower part lands in the last
+        # bucket and is reported by the edge check below
+        below: list[list[int]] = [[] for _ in range(top + 1)]
+        for w in c._l:
+            below[level_of[w]].append(w)
+        snap = {p: frozenset(below[p]) for p in range(top)}
         snap[top] = c.upper
         snaps[x] = snap
         for y in c._u:
@@ -171,7 +141,7 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
     after = MultipartiteGraph._assemble(
         levels2, labels, adj2, snaps, g.edge_count - removed_count + added_count
     )
-    return FactorStep(g, family, after, new_vertices, removed_count, added_count)
+    return FactorStep(family, after, new_vertices, removed_count, added_count)
 
 
 def project(g: MultipartiteGraph) -> MultipartiteGraph:

@@ -1,4 +1,7 @@
-"""Search harness for a weak-series non-termination witness.
+"""Graph generators and the search for a weak-series non-termination witness.
+
+``random_graph`` and ``suite_seed`` give the seeded G(n, p) instances that
+``multifact verify --random`` and the acceptance sweep run on.
 
 The weak rule can keep producing effective steps forever, but only on the
 right shape of input; dense graphs collapse and sparse ones stall.  Graphs
@@ -10,6 +13,7 @@ series on the same graph terminates.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,6 +31,24 @@ class ApexWitness:
     @property
     def graph(self) -> Graph:
         return apex_graph(self.base_size, self.mask)
+
+
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) instance with labels x0..x{n-1}; same seed, same graph."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(n)]
+    edges = [
+        (labels[u], labels[v])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    return Graph.from_edge_list(edges, extra_vertices=labels)
+
+
+def suite_seed(n: int, p: float, i: int) -> int:
+    """Per-instance seed of the random sweep; stable across runs and hosts."""
+    return n * 7919 + int(p * 10) * 104729 + i
 
 
 def apex_graph(base_size: int, mask: int) -> Graph:

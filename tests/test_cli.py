@@ -8,9 +8,12 @@ from multifact import (
     Graph,
     IntegrityError,
     clique_incidence,
+    parse_edge_list,
     random_graph,
+    run_clean,
     serialise_edge_list,
     serialise_multipartite,
+    size_bound,
 )
 from multifact import cli
 from multifact.cli import main
@@ -84,10 +87,20 @@ class TestDecompose:
         assert "line 2" in capsys.readouterr().err
 
     def test_low_memory_same_output(self, diamond_file, capsys):
+        # decompose keeps only the final stage; a run keeping every stage
+        # serialises to the same bytes
+        full = serialise_multipartite(run_clean(parse_edge_list(diamond_file.read_text())).final)
         assert main(["decompose", str(diamond_file)]) == 0
-        full = capsys.readouterr().out
-        assert main(["decompose", str(diamond_file), "--low-memory"]) == 0
         assert capsys.readouterr().out == full
+
+    def test_clique_past_the_recursion_limit(self, tmp_path, capsys):
+        n = sys.getrecursionlimit() + 100
+        big = tmp_path / "big.edges"
+        big.write_text("".join(f"x{u} x{v}\n" for u in range(n) for v in range(u + 1, n)))
+        assert main(["decompose", str(big), "-o", str(tmp_path / "big.mg")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "terminated rank=1\n"
+        assert "Traceback" not in captured.err
 
 
 class TestVerify:
@@ -180,6 +193,26 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["pass"]
         assert len(builds) == 1
         assert len(enumerations) == 2
+
+    def test_stats_enumerates_cliques_once(self, fix_chain_file, capsys, monkeypatch):
+        from multifact import cliques, lattice
+
+        # the size bound reads the cliques off the level-1 snapshots
+        enumerations = []
+        for module in (cliques, lattice):
+            real_cliques = module.maximal_cliques
+
+            def counting_cliques(g, real_cliques=real_cliques):
+                enumerations.append(g)
+                return real_cliques(g)
+
+            monkeypatch.setattr(module, "maximal_cliques", counting_cliques)
+        assert main(["stats", str(fix_chain_file)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert len(enumerations) == 1
+        g = parse_edge_list(fix_chain_file.read_text())
+        assert stats["final"]["bound"] == size_bound(g, run_clean(g).final)
+        assert stats["final"]["bound"]["cliques_per_vertex"] == 3
 
     def test_requires_an_input(self, capsys):
         assert main(["verify"]) == 1
@@ -305,3 +338,14 @@ def test_console_entry_point_help():
     assert r.returncode == 0
     for sub in ("decompose", "verify", "project", "stats"):
         assert sub in r.stdout
+
+
+def test_import_leaves_the_cli_alone():
+    code = (
+        "import sys, multifact\n"
+        "assert 'multifact.cli' not in sys.modules, 'multifact.cli was imported'\n"
+        "missing = [n for n in multifact.__all__ if not hasattr(multifact, n)]\n"
+        "assert not missing, missing\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

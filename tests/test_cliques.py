@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -32,7 +33,7 @@ def brute_maximal_cliques(g: Graph) -> set[frozenset[int]]:
 def test_diamond_cliques(diamond):
     ks = maximal_cliques(diamond)
     assert set(ks) == {frozenset({0, 1, 2}), frozenset({1, 2, 3})}
-    assert ks.containing(1) == (0, 1)
+    assert tuple(i for i, c in enumerate(ks) if 1 in c) == (0, 1)
     assert len(ks) == 2
 
 
@@ -50,7 +51,14 @@ def test_named_small_graphs(k3):
 def test_cliques_are_canonically_sorted():
     g = Graph.from_edge_list([("d", "c"), ("b", "a")])
     ks = maximal_cliques(g)
-    assert [sorted(c) for c in ks.cliques] == sorted([sorted(c) for c in ks.cliques])
+    assert [sorted(c) for c in ks] == sorted([sorted(c) for c in ks])
+
+
+def test_clique_past_the_recursion_limit():
+    # one branch per clique vertex; the branches wait on a stack, not in frames
+    n = sys.getrecursionlimit() + 100
+    k_n = Graph([f"x{i}" for i in range(n)], [(u, v) for u in range(n) for v in range(u + 1, n)])
+    assert maximal_cliques(k_n) == (frozenset(range(n)),)
 
 
 @pytest.mark.parametrize("n,p,seed", [(6, 0.4, 1), (8, 0.5, 2), (10, 0.6, 3), (12, 0.5, 4), (12, 0.8, 5)])

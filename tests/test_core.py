@@ -4,11 +4,9 @@ from multifact import (
     ContractError,
     Graph,
     MultipartiteGraph,
-    level_neighbourhood,
-    neighbourhood,
     record_snapshots,
 )
-from multifact.core import canonical_edge, level_blocks
+from multifact.core import canonical_edge
 
 
 class TestGraph:
@@ -96,8 +94,8 @@ class TestMultipartiteGraph:
         assert m.neighbours(2) == {0, 1, 4}
         assert m.level_neighbours(2, 0) == {0, 1}
         assert m.level_neighbours(2, 2) == {4}
-        assert level_neighbourhood(m, 4, 0) == {0}
-        assert neighbourhood(m, 4) == {0, 2}
+        assert m.level_neighbours(4, 0) == {0}
+        assert m.neighbours(4) == {0, 2}
         with pytest.raises(IndexError):
             m.level_neighbours(2, 9)
 
@@ -119,7 +117,7 @@ class TestMultipartiteGraph:
     def test_snapshot_access(self):
         m = tripartite()
         assert m.snapshot(4, 0) == {0}
-        assert m.has_snapshot(4) and not m.has_snapshot(3)
+        assert 4 in m.snapshots and 3 not in m.snapshots
         with pytest.raises(KeyError):
             m.snapshot(4, 5)
         with pytest.raises(KeyError):
@@ -140,11 +138,3 @@ class TestMultipartiteGraph:
         assert r.snapshot(4, 0) == {0} and r.snapshot(4, 1) == {2}
         assert r.snapshots[2] == {0: frozenset({0, 1})}  # carried over untouched
         assert record_snapshots(r) == r
-
-    def test_level_blocks(self):
-        m = MultipartiteGraph([{0, 1}, {2}], {0: "a", 1: "b", 2: "c"}, [])
-        assert level_blocks(m) == [(0, 2), (2, 3)]
-        gap = MultipartiteGraph([{0, 2}], {0: "a", 2: "c"}, [])
-        assert level_blocks(gap) is None
-        holes = MultipartiteGraph([{0}, set(), {1}], {0: "a", 1: "b"}, [])
-        assert level_blocks(holes) == [(0, 1), (1, 1), (1, 2)]

@@ -95,7 +95,7 @@ def old_family(g: Graph):
     all-pairs fold and a scan of every element against every clique; kept
     as the reference the indexed fold is compared with.
     """
-    cliques = maximal_cliques(g).cliques
+    cliques = maximal_cliques(g)
     masks = [sum(1 << v for v in c) for c in cliques]
     seen = {masks[i] & masks[j] for i in range(len(masks)) for j in range(i + 1, len(masks))}
     frontier = list(seen)
@@ -315,11 +315,11 @@ class TestVerifyTheorem:
         assert run.status.rank == fam.height + 1 == 4
         rep = verify_charseq_theorem(run, fam)
         assert rep["pass"], rep
-        clean_steps = [s for s, st in zip(run.steps, run.stats) if st.rule == "clean"]
+        clean_steps = [m for m in run.graphs if m.top >= 3]
         assert clean_steps
-        for step in clean_steps:
-            fast = clean_candidates(step.before)
-            brute = brute_force_candidates(step.before, "clean")
+        for m in clean_steps:
+            fast = clean_candidates(m)
+            brute = brute_force_candidates(m, "clean")
             assert set(fast) == set(brute)
 
     def test_report_is_deterministic(self, fix_chain):

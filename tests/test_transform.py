@@ -2,6 +2,7 @@ import pytest
 
 from multifact import (
     ContractError,
+    MultipartiteGraph,
     clique_incidence,
     factor_candidates,
     factorise,
@@ -77,8 +78,6 @@ def test_project_inverts_each_step(diamond, bowtie, fix_chain):
 def test_project_empty_top_just_drops_the_level(fix_chain):
     run = run_clean(fix_chain)
     m = run.final
-    from multifact import MultipartiteGraph
-
     padded = MultipartiteGraph(
         list(m.levels) + [set()],
         dict(m.labels),
@@ -119,3 +118,17 @@ def test_conservation(diamond):
     assert after_edges == (before_edges - step.removed_edges) | step.added_edges
     assert step.removed_edges <= before_edges
     assert not step.added_edges & before_edges
+
+
+def test_snapshots_split_by_level_without_id_blocks():
+    # ids interleave across levels and level 1 is empty, a layout the
+    # pipeline never builds; snapshots still split by level
+    m = MultipartiteGraph(
+        [{0, 5}, set(), {2, 7}],
+        {0: "a", 5: "b", 2: "c", 7: "d"},
+        [(2, 0), (2, 5), (7, 0), (7, 5)],
+    )
+    step = factorise(m, weak_candidates(m))
+    assert step.after.levels[3] == {8}
+    assert step.after.snapshots[8] == {0: {0, 5}, 1: set(), 2: {2, 7}}
+    assert project(step.after) == m
