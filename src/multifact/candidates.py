@@ -27,7 +27,9 @@ per-lower-vertex neighbour masks.  Three reductions keep it sound:
    non-closed candidate is contained in its closure;
 2. the factor constraint and the clean two-clique constraint commute
    with taking maximal elements, because both are monotone in the lower
-   part and comparable weak candidates share the same lower part;
+   part and comparable weak candidates share the same lower part; being
+   monotone, both are pruned inside the walk, and no candidate is built
+   to be thrown away;
 3. for clean mode, candidates from distinct equivalence classes are
    never comparable, so classes can be enumerated independently.
 
@@ -55,16 +57,13 @@ _SCAN_LIMIT = 64
 class Candidate:
     """One admissible pair: ``upper`` above the cut, ``lower`` below it."""
 
-    __slots__ = ("upper", "lower", "full_set", "_u", "_l")
+    __slots__ = ("upper", "full_set", "_u", "_l")
 
     def __init__(self, upper: Iterable[int], lower: Iterable[int]):
-        u = tuple(sorted(set(upper)))
-        l = tuple(sorted(set(lower)))
-        self._u = u
-        self._l = l
-        self.upper = frozenset(u)
-        self.lower = frozenset(l)
-        self.full_set = self.upper | self.lower
+        self._u = tuple(sorted(set(upper)))
+        self._l = tuple(sorted(set(lower)))
+        self.upper = frozenset(self._u)
+        self.full_set = self.upper.union(self._l)
 
     @classmethod
     def _from_sorted(cls, u: tuple[int, ...], l: tuple[int, ...]) -> "Candidate":
@@ -72,9 +71,13 @@ class Candidate:
         c._u = u
         c._l = l
         c.upper = frozenset(u)
-        c.lower = frozenset(l)
-        c.full_set = c.upper | c.lower
+        c.full_set = c.upper.union(l)
         return c
+
+    @property
+    def lower(self) -> frozenset[int]:
+        """The lower part as a set, built on each access; hot paths read ``_l``."""
+        return frozenset(self._l)
 
     def _order_key(self) -> tuple[int, tuple[int, ...]]:
         # families are ordered by size (descending) then vertex list
@@ -96,7 +99,7 @@ class Candidate:
         return hash((self._u, self._l))
 
     def __repr__(self) -> str:
-        return f"Candidate(upper={sorted(self.upper)}, lower={sorted(self.lower)})"
+        return f"Candidate(upper={list(self._u)}, lower={list(self._l)})"
 
 
 class CandidateFamily:
@@ -135,19 +138,20 @@ class CandidateFamily:
         return f"CandidateFamily(mode={self.mode!r}, k={self.k}, size={len(self.members)})"
 
 
-def _closed_intents(obj_intents: Iterable[int], keep_mask: int) -> set[int]:
+def _closed_intents(obj_intents: Iterable[int], keep: int, meet: int) -> set[int]:
     """Intersections of nonempty subsets of the object intents, pruned.
 
-    Only intents with at least two bits inside ``keep_mask`` are kept.
-    The prune is exhaustive-safe because intersections only shrink: every
-    prefix of a surviving intent is a superset of it and so survives too,
-    and an object whose own intent fails can never join a survivor.
+    Only intents with at least two bits inside the mask ``keep`` and at
+    least two inside the mask ``meet`` are kept.  The prune is exhaustive-safe
+    because intersections only shrink and both conditions are monotone:
+    every prefix of a surviving intent is a superset of it and so survives
+    too, and an object whose own intent fails can never join a survivor.
 
     Once more than ``_SCAN_LIMIT`` intents are kept, an arriving object is
     intersected only with the kept intents that share a kept bit with it,
     looked up in an index from each kept bit to the kept intents containing
     it.  That loses nothing: a kept intersection has two bits inside
-    ``keep_mask`` and each of its parts contains both, so every intent whose
+    ``keep`` and each of its parts contains both, so every intent whose
     intersection with the object survives the prune is filed under one of
     the object's own kept bits.  Below the limit a full scan is cheaper than
     keeping the index.
@@ -155,8 +159,8 @@ def _closed_intents(obj_intents: Iterable[int], keep_mask: int) -> set[int]:
     intents: set[int] = set()
     by_bit: dict[int, set[int]] | None = None
     for om in obj_intents:
-        kept = om & keep_mask
-        if kept.bit_count() < 2:
+        kept = om & keep
+        if kept.bit_count() < 2 or (om & meet).bit_count() < 2:
             continue
         if by_bit is None:
             near = intents
@@ -167,14 +171,14 @@ def _closed_intents(obj_intents: Iterable[int], keep_mask: int) -> set[int]:
         cuts -= intents
         if not cuts:
             continue
-        fresh = [c for c in cuts if (c & keep_mask).bit_count() >= 2]
+        fresh = [c for c in cuts if (c & keep).bit_count() >= 2 and (c & meet).bit_count() >= 2]
         intents.update(fresh)
         if by_bit is None:
             if len(intents) <= _SCAN_LIMIT:
                 continue
             by_bit, fresh = {}, intents
         for c in fresh:
-            for b in bit_indices(c & keep_mask):
+            for b in bit_indices(c & keep):
                 filed = by_bit.get(b)
                 if filed is None:
                     by_bit[b] = {c}
@@ -188,13 +192,15 @@ def _concept_candidates(
     uppers: list[int],
     lowers: list[int],
     below_top: frozenset[int] | None,
+    cliques: frozenset[int] | None,
 ) -> list[Candidate]:
     """Closed pairs over the given top-level/lower vertex lists.
 
-    ``below_top`` fixes the level directly below the top; when given, only
-    pairs whose lower part meets it twice survive (the factor constraint).
+    Only pairs whose lower part meets ``below_top``, the level directly
+    below the top, twice (the factor constraint) and ``cliques``, level 1,
+    twice (the clean two-clique constraint) survive; None waives either.
     Both lists must be ascending.  The walk enumerates closed lower parts,
-    where that constraint is monotone, instead of closed upper parts, whose
+    where both constraints are monotone, instead of closed upper parts, whose
     closure system can dwarf the surviving family on dense graphs.
     """
     if len(uppers) < 2 or len(lowers) < 2:
@@ -213,16 +219,13 @@ def _concept_candidates(
                 attr[j] |= 1 << i
         obj_intents.add(m)
 
-    if below_top is None:
-        keep_mask = (1 << len(lowers)) - 1
-    else:
-        keep_mask = 0
-        for j, w in enumerate(lowers):
-            if w in below_top:
-                keep_mask |= 1 << j
+    masks = [(1 << len(lowers)) - 1] * 2
+    for i, within in enumerate((below_top, cliques)):
+        if within is not None:
+            masks[i] = sum(1 << j for j, w in enumerate(lowers) if w in within)
 
     out: list[Candidate] = []
-    for intent in _closed_intents(sorted(obj_intents), keep_mask):
+    for intent in _closed_intents(sorted(obj_intents), *masks):
         bits = bit_indices(intent)
         extent = -1
         for j in bits:
@@ -252,7 +255,7 @@ def weak_candidates(g: MultipartiteGraph) -> CandidateFamily:
     if k < 2:
         raise ContractError("need at least two levels before candidates exist")
     uppers = sorted(g.levels[g.top])
-    members = _concept_candidates(g, uppers, _lower_vertices(g), None)
+    members = _concept_candidates(g, uppers, _lower_vertices(g), None, None)
     return CandidateFamily("weak", k, members)
 
 
@@ -263,7 +266,7 @@ def factor_candidates(g: MultipartiteGraph) -> CandidateFamily:
         raise ContractError("need at least two levels before candidates exist")
     uppers = sorted(g.levels[g.top])
     below = g.levels[g.top - 1]
-    members = _concept_candidates(g, uppers, _lower_vertices(g), below)
+    members = _concept_candidates(g, uppers, _lower_vertices(g), below, None)
     return CandidateFamily("factor", k, members)
 
 
@@ -297,14 +300,8 @@ def clean_candidates(g: MultipartiteGraph) -> CandidateFamily:
     for cls in _clean_classes(g):
         if len(cls) < 2:
             continue
-        seen: set[int] = set()
-        for x in cls:
-            seen.update(adj[x])
-        members.extend(
-            c
-            for c in _concept_candidates(g, cls, sorted(seen), below)
-            if len(c.lower & cliques) >= 2
-        )
+        seen = set().union(*[adj[x] for x in cls])
+        members.extend(_concept_candidates(g, cls, sorted(seen), below, cliques))
     return CandidateFamily("clean", k, members)
 
 

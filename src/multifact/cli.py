@@ -222,7 +222,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for step in stats["steps"]:
         ms = step.pop("elapsed_ms")
         total += ms
-        print(f"step {step['step']} ({step['rule']}): {ms:.1f} ms", file=sys.stderr)
+        c, f = step.pop("candidates_ms"), step.pop("factorise_ms")
+        name = f"step {step['step']} ({step['rule']})"
+        print(f"{name}: {ms:.1f} ms (candidates {c:.1f} ms, factorise {f:.1f} ms)", file=sys.stderr)
     print(f"total: {total:.1f} ms", file=sys.stderr)
     if args.mode == "clean":
         # the level-1 vertices' creation snapshots are the maximal cliques

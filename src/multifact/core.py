@@ -101,7 +101,9 @@ class MultipartiteGraph:
 
     ``snapshots[x][j]`` records the level-j neighbourhood a vertex ``x``
     (level >= 1) had when its level was created.  Later steps may remove
-    edges incident to ``x`` but never rewrite the snapshot.
+    edges incident to ``x`` but never rewrite the snapshot.  Graphs built by
+    ``factorise`` or parsed from mgraph text share one set object among the
+    equal snapshots of a level, so code must not rely on their identity.
     """
 
     __slots__ = ("levels", "labels", "snapshots", "_adj", "_level_of", "_edge_count", "_edges")
@@ -132,10 +134,9 @@ class MultipartiteGraph:
         for u, v in edges:
             if u not in level_of or v not in level_of:
                 raise ContractError(f"edge ({u}, {v}) references an unknown vertex")
+            # a self-loop joins a vertex to its own level and fails here too
             if level_of[u] == level_of[v]:
                 raise ContractError(f"edge ({u}, {v}) joins two level-{level_of[u]} vertices")
-            if u == v:
-                raise ContractError(f"self-loop at vertex {u}")
             if v not in adj[u]:
                 count += 1
                 adj[u].add(v)
@@ -214,13 +215,9 @@ class MultipartiteGraph:
         return iter(sorted(self._level_of))
 
     def level_of(self, x: int) -> int:
-        if x not in self._level_of:
-            raise KeyError(x)
         return self._level_of[x]
 
     def neighbours(self, x: int) -> frozenset[int]:
-        if x not in self._adj:
-            raise KeyError(x)
         return self._adj[x]
 
     def level_neighbours(self, x: int, i: int) -> frozenset[int]:

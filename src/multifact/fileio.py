@@ -9,9 +9,7 @@ The mgraph parser validates once: one pattern per section checks the
 syntax, bulk checks over whole columns of ids do the rest, and the graph
 is built without validating again.  Rejected text is read a second time,
 line by line, which reports the first faulty line with the same message
-the format has always given.  Parsed graphs share one snapshot set object
-among equal member lists at a level, so callers must not rely on the
-identity of snapshot sets.
+the format has always given.
 """
 
 from __future__ import annotations
@@ -56,10 +54,13 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are skipped.  Labels are the
     tokens themselves.  Self-loops and repeated edges (either orientation)
-    are rejected with their line number.
+    are rejected with their line number.  One pass reads the lines into
+    provisional ids, numbered by first appearance, which are then
+    renumbered in sorted label order.
     """
-    edges: list[tuple[str, str]] = []
-    seen: dict[frozenset[str], int] = {}
+    ids: dict[str, int] = {}
+    us, ws = [], []  # the edges' provisional end ids
+    seen: dict[int, int] = {}
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -72,12 +73,20 @@ def parse_edge_list(text: str) -> Graph:
             raise FormatError(no, "labels must not start with '#'")
         if u == v:
             raise FormatError(no, f"self-loop at {u!r}")
-        key = frozenset((u, v))
+        a = ids.setdefault(u, len(ids))
+        b = ids.setdefault(v, len(ids))
+        # the rank of the pair {a, b} among all pairs, ordered by larger id
+        key = b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b
         if key in seen:
             raise FormatError(no, f"edge {u} {v} repeats line {seen[key]}")
         seen[key] = no
-        edges.append((u, v))
-    return Graph.from_edge_list(edges)
+        us.append(a)
+        ws.append(b)
+    del seen
+    labels = sorted(ids)
+    final = dict(zip(labels, range(len(labels))))
+    rank = list(map(final.__getitem__, ids))  # provisional id -> final id
+    return Graph(labels, zip(map(rank.__getitem__, us), map(rank.__getitem__, ws)))
 
 
 def serialise_edge_list(g: Graph) -> str:
@@ -111,7 +120,7 @@ def serialise_multipartite(g: MultipartiteGraph) -> str:
         ys = ys[bisect_right(ys, x):]
         if ys:  # the edges to higher ids, joined in one call
             out.append(f"e {x} " + f"\ne {x} ".join(map(str, ys)) + "\n")
-    # equal member sets recur thousands of times (parsed graphs even share
+    # equal member sets recur thousands of times (most graphs even share
     # the set object), so each distinct set is written out once
     member_text: dict[frozenset[int], str] = {}
     snaps = g.snapshots
@@ -156,8 +165,7 @@ def parse_multipartite(text: str) -> MultipartiteGraph:
     Valid text is checked once, section by section, and the graph is built
     without a second validation.  Text that fails any check is read again
     line by line, which names the first faulty line.  Equal snapshot member
-    lists at one level share one set object, so callers must not rely on
-    the identity of snapshot sets.
+    lists at one level share one set object (see ``MultipartiteGraph``).
     """
     g = _parse_sections(text)
     return g if g is not None else _parse_by_line(text)

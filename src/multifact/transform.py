@@ -10,28 +10,30 @@ any effective step.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from dataclasses import dataclass
+
 from .core import ContractError, IntegrityError, MultipartiteGraph, canonical_edge
 from .candidates import Candidate, CandidateFamily
 
 
+class _Interned(dict):
+    """Member tuple -> its frozenset, built on first lookup."""
+
+    def __missing__(self, members: tuple[int, ...]) -> frozenset[int]:
+        s = self[members] = frozenset(members)
+        return s
+
+
+@dataclass(eq=False, slots=True)
 class FactorStep:
     """Record of one factorising step: the family and the graph it produced."""
 
-    __slots__ = ("family", "after", "new_vertices", "removed_count", "added_count")
-
-    def __init__(
-        self,
-        family: CandidateFamily,
-        after: MultipartiteGraph,
-        new_vertices: dict[int, Candidate],
-        removed_count: int,
-        added_count: int,
-    ):
-        self.family = family
-        self.after = after
-        self.new_vertices = new_vertices
-        self.removed_count = removed_count
-        self.added_count = added_count
+    family: CandidateFamily
+    after: MultipartiteGraph
+    new_vertices: dict[int, Candidate]
+    removed_count: int
+    added_count: int
 
     @property
     def effective(self) -> bool:
@@ -79,10 +81,14 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
     adj = g._adj
 
     new_vertices: dict[int, Candidate] = {}
+    adj2 = dict(adj)
     labels = dict(g.labels)
     snaps = dict(g.snapshots)
-    rm: dict[int, set[int]] = {}
-    add: dict[int, set[int]] = {}
+    # one set per distinct member tuple, so the many equal snapshots of a
+    # step, the empty one above all, share one object
+    shared = _Interned()
+    # the new vertices each old vertex joins
+    joins: defaultdict[int, list[int]] = defaultdict(list)
     added_count = 0
 
     for i, c in enumerate(family.members):
@@ -90,6 +96,7 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
         if not c.upper <= top_level:
             raise ContractError(f"candidate upper part {sorted(c.upper)} leaves the top level")
         new_vertices[x] = c
+        adj2[x] = c.full_set
         labels[x] = f"L{family.k}#{i}"
         added_count += len(c.full_set)
         # a top-level member of a malformed lower part lands in the last
@@ -97,45 +104,24 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
         below: list[list[int]] = [[] for _ in range(top + 1)]
         for w in c._l:
             below[level_of[w]].append(w)
-        snap = {p: frozenset(below[p]) for p in range(top)}
+        snap = {p: shared[tuple(below[p])] for p in range(top)}
         snap[top] = c.upper
         snaps[x] = snap
-        for y in c._u:
-            s = rm.get(y)
-            if s is None:
-                rm[y] = set(c._l)
-            else:
-                s.update(c._l)
-        for z in c._l:
-            s = rm.get(z)
-            if s is None:
-                rm[z] = set(c._u)
-            else:
-                s.update(c._u)
         for v in c.full_set:
-            s = add.get(v)
-            if s is None:
-                add[v] = {x}
-            else:
-                s.add(x)
+            joins[v].append(x)
 
     removed_count = 0
-    adj2 = dict(adj)
-    for v, extra in add.items():
-        old = adj2[v]
-        cut = rm.get(v)
-        if cut:
-            if not cut <= old:
-                raise IntegrityError(
-                    f"candidate family removes edges absent at vertex {v}"
-                )
-            if v in top_level:
-                removed_count += len(cut)
-            adj2[v] = (old - cut) | extra
-        else:
-            adj2[v] = old | extra
-    for x, c in new_vertices.items():
-        adj2[x] = c.full_set
+    for v, xs in joins.items():
+        # an upper vertex loses its edges to the lower parts, and the other
+        # way round; a cut edge that is absent means a malformed family
+        old = adj[v]
+        up = v in top_level
+        cut = set().union(*[new_vertices[x]._l if up else new_vertices[x]._u for x in xs])
+        if not cut <= old:
+            raise IntegrityError(f"candidate family removes edges absent at vertex {v}")
+        if up:
+            removed_count += len(cut)
+        adj2[v] = (old - cut).union(xs)
 
     levels2 = g.levels + (frozenset(range(base, base + len(family.members))),)
     after = MultipartiteGraph._assemble(

@@ -182,10 +182,12 @@ def test_effectiveness_nesting(seed):
             assert weak_candidates(m).effective
 
 
-def _all_pairs_closure(obj_intents, keep_mask):
+def _all_pairs_closure(obj_intents, keep_mask, meet_mask):
     """The concept walk before it was indexed: every object meets every intent.
 
-    Kept as the reference the indexed walk is compared with.
+    Kept as the reference the indexed walk is compared with.  It prunes by
+    ``keep_mask`` only and applies ``meet_mask`` to the finished closure,
+    as the clean rule once filtered its candidates.
     """
     intents = set()
     for om in obj_intents:
@@ -196,7 +198,7 @@ def _all_pairs_closure(obj_intents, keep_mask):
         cuts -= intents
         if cuts:
             intents.update(c for c in cuts if (c & keep_mask).bit_count() >= 2)
-    return intents
+    return {c for c in intents if (c & meet_mask).bit_count() >= 2}
 
 
 def _masks(width: int, bits: st.SearchStrategy[int]) -> st.SearchStrategy[int]:
@@ -214,8 +216,8 @@ def _context(width: int, bits: st.SearchStrategy[int], max_objects: int):
     objects = st.tuples(objects, st.integers(0, 3)).map(
         lambda t: t[0] + t[0][: t[1]] + [0] * (t[1] % 2)
     )
-    keep = st.one_of(st.just((1 << width) - 1), st.integers(0, (1 << width) - 1))
-    return st.tuples(objects, keep)
+    mask = st.one_of(st.just((1 << width) - 1), st.integers(0, (1 << width) - 1))
+    return st.tuples(objects, mask, mask)
 
 
 CONTEXTS = st.one_of(
@@ -228,15 +230,15 @@ CONTEXTS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(CONTEXTS)
 def test_closed_intents_match_the_all_pairs_closure(context):
-    objects, keep_mask = context
-    want = _all_pairs_closure(objects, keep_mask)
+    objects, keep_mask, meet_mask = context
+    want = _all_pairs_closure(objects, keep_mask, meet_mask)
     saved = candidates._SCAN_LIMIT
     try:
         # the full scan, the index from the first intent on, and the default
         for limit in (sys.maxsize, 0, saved):
             candidates._SCAN_LIMIT = limit
-            assert _closed_intents(objects, keep_mask) == want
-            assert _closed_intents(sorted(set(objects)), keep_mask) == want
+            assert _closed_intents(objects, keep_mask, meet_mask) == want
+            assert _closed_intents(sorted(set(objects)), keep_mask, meet_mask) == want
     finally:
         candidates._SCAN_LIMIT = saved
 
@@ -246,6 +248,7 @@ def test_closed_intents_index_is_exercised():
     objects = [((1 << 12) - 1) ^ (1 << i) ^ (1 << (i + 3) % 12) for i in range(12)]
     objects += [m & ~(1 << j) for m in objects for j in (0, 5)]
     keep_mask = ((1 << 12) - 1) ^ 0b11
-    got = _closed_intents(objects, keep_mask)
+    meet_mask = (1 << 12) - 1
+    got = _closed_intents(objects, keep_mask, meet_mask)
     assert len(got) > candidates._SCAN_LIMIT
-    assert got == _all_pairs_closure(objects, keep_mask)
+    assert got == _all_pairs_closure(objects, keep_mask, meet_mask)

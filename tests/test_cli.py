@@ -259,8 +259,9 @@ class TestStats:
         assert len(stats["steps"]) == 2
         assert stats["final"]["level_sizes"] == [4, 2, 1]
         assert stats["final"]["bound"]["pass"]
-        assert "elapsed_ms" not in captured.out
-        assert "ms" in captured.err
+        for key in ("elapsed_ms", "candidates_ms", "factorise_ms"):
+            assert key not in captured.out
+        assert "candidates" in captured.err and "factorise" in captured.err
 
     def test_edgeless_single_step(self, tmp_path, capsys):
         f = tmp_path / "none.edges"

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,19 @@ class TestEdgeList:
         with pytest.raises(ContractError):
             serialise_edge_list(Graph(["#a", "c"], [(0, 1)]))
 
+    def test_reading_costs_little_more_than_the_graph_it_builds(self):
+        # K_200: the graph keeps about 4 MB; a frozenset key per line and a
+        # second pass over labelled edges once peaked at 4.4 times that
+        text = "".join(f"v{i} v{j}\n" for i in range(200) for j in range(i + 1, 200))
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges) == 19900
+        assert peak < 3 * kept
+
 
 def pipeline_graph() -> MultipartiteGraph:
     return run_clean(Graph.from_edge_list(DIAMOND)).final
@@ -112,8 +126,14 @@ class TestMultipartiteFormat:
         assert serialise_multipartite(again) == text
 
     def test_every_stage_roundtrips(self, fix_chain):
-        for stage in run_clean(fix_chain).graphs:
-            assert parse_multipartite(serialise_multipartite(stage)) == stage
+        # the random graph reaches a clean-rule step and three factor and weak ones
+        for g in (fix_chain, random_graph(9, 0.7, 1)):
+            for run in (run_clean(g), run_factor(g, cap=3), run_weak(g, cap=3)):
+                for stage in run.graphs:
+                    text = serialise_multipartite(stage)
+                    again = parse_multipartite(text)
+                    assert again == stage
+                    assert serialise_multipartite(again) == text
 
     def test_empty_snapshot_entries_survive(self):
         m = MultipartiteGraph(

@@ -120,7 +120,8 @@ def test_series_stats_shape(diamond):
     assert stats["final"]["level_sizes"] == [4, 2, 1]
     assert stats["final"]["vertices"] == 7
     for s in stats["steps"]:
-        assert s["elapsed_ms"] >= 0
+        assert s["candidates_ms"] >= 0 and s["factorise_ms"] >= 0
+        assert s["elapsed_ms"] == s["candidates_ms"] + s["factorise_ms"]
 
 
 def test_every_stage_respects_the_partition_and_level_rules(fix_chain):

@@ -132,3 +132,20 @@ def test_snapshots_split_by_level_without_id_blocks():
     assert step.after.levels[3] == {8}
     assert step.after.snapshots[8] == {0: {0, 5}, 1: set(), 2: {2, 7}}
     assert project(step.after) == m
+
+
+@pytest.mark.parametrize(
+    "run",
+    [run_clean, lambda g: run_factor(g, cap=3), lambda g: run_weak(g, cap=3)],
+    ids=["clean", "factor", "weak"],
+)
+def test_equal_snapshot_sets_of_a_new_level_are_one_object(run):
+    # a graph whose series in every mode records empty snapshots
+    m = run(random_graph(9, 0.7, 3)).final
+    levels_with_empty = 0
+    for k in range(2, m.top + 1):
+        sets = [ms for x in m.levels[k] for ms in m.snapshots[x].values()]
+        assert len({id(ms) for ms in sets}) == len(set(sets))
+        levels_with_empty += frozenset() in sets
+    # so on those levels the empty set is one object
+    assert levels_with_empty >= 1
