@@ -138,52 +138,52 @@ class CandidateFamily:
         return f"CandidateFamily(mode={self.mode!r}, k={self.k}, size={len(self.members)})"
 
 
-def _closed_intents(obj_intents: Iterable[int], keep: int, meet: int) -> set[int]:
-    """Intersections of nonempty subsets of the object intents, pruned.
+def _closed_intents(objects: Iterable[int], keep: int, meet: int) -> set[int]:
+    """Intersections of two or more of the listed objects, pruned.
 
-    Only intents with at least two bits inside the mask ``keep`` and at
-    least two inside the mask ``meet`` are kept.  The prune is exhaustive-safe
-    because intersections only shrink and both conditions are monotone:
-    every prefix of a surviving intent is a superset of it and so survives
-    too, and an object whose own intent fails can never join a survivor.
+    Equal objects count as two, so an object's own intent is kept exactly
+    when a second object contains it.  Only intents with at least two bits
+    inside the mask ``keep`` and at least two inside the mask ``meet`` are
+    kept.  The prune is exhaustive-safe because intersections only shrink
+    and both conditions are monotone: every prefix of a surviving intent is
+    a superset of it and so survives too, and an object that fails can
+    never join a survivor.
 
-    Once more than ``_SCAN_LIMIT`` intents are kept, an arriving object is
-    intersected only with the kept intents that share a kept bit with it,
-    looked up in an index from each kept bit to the kept intents containing
-    it.  That loses nothing: a kept intersection has two bits inside
-    ``keep`` and each of its parts contains both, so every intent whose
-    intersection with the object survives the prune is filed under one of
-    the object's own kept bits.  Below the limit a full scan is cheaper than
-    keeping the index.
+    Each arriving object meets what is filed: the earlier objects and the
+    kept intents.  Past ``_SCAN_LIMIT`` filed masks it meets only those
+    filed under one of its kept bits in an index.  That loses nothing: a
+    kept intersection has two bits inside ``keep`` and each of its parts
+    contains both.  Below the limit a full scan is cheaper than the index.
     """
     intents: set[int] = set()
+    filed: set[int] = set()  # the kept intents and the objects met so far
     by_bit: dict[int, set[int]] | None = None
-    for om in obj_intents:
+    for om in objects:
         kept = om & keep
         if kept.bit_count() < 2 or (om & meet).bit_count() < 2:
             continue
         if by_bit is None:
-            near = intents
+            near = filed
         else:
             near = set().union(*[by_bit.get(b, ()) for b in bit_indices(kept)])
         cuts = {f & om for f in near}
-        cuts.add(om)
         cuts -= intents
-        if not cuts:
-            continue
         fresh = [c for c in cuts if (c & keep).bit_count() >= 2 and (c & meet).bit_count() >= 2]
         intents.update(fresh)
+        if om not in filed:
+            fresh.append(om)
+        filed.update(fresh)
         if by_bit is None:
-            if len(intents) <= _SCAN_LIMIT:
+            if len(filed) <= _SCAN_LIMIT:
                 continue
-            by_bit, fresh = {}, intents
+            by_bit, fresh = {}, filed
         for c in fresh:
             for b in bit_indices(c & keep):
-                filed = by_bit.get(b)
-                if filed is None:
+                at = by_bit.get(b)
+                if at is None:
                     by_bit[b] = {c}
                 else:
-                    filed.add(c)
+                    at.add(c)
     return intents
 
 
@@ -209,7 +209,7 @@ def _concept_candidates(
     lpos = {w: j for j, w in enumerate(lowers)}
 
     attr = [0] * len(lowers)
-    obj_intents: set[int] = set()
+    objects: list[int] = []
     for i, x in enumerate(uppers):
         m = 0
         for w in adj[x]:
@@ -217,7 +217,7 @@ def _concept_candidates(
             if j is not None:
                 m |= 1 << j
                 attr[j] |= 1 << i
-        obj_intents.add(m)
+        objects.append(m)
 
     masks = [(1 << len(lowers)) - 1] * 2
     for i, within in enumerate((below_top, cliques)):
@@ -225,13 +225,12 @@ def _concept_candidates(
             masks[i] = sum(1 << j for j, w in enumerate(lowers) if w in within)
 
     out: list[Candidate] = []
-    for intent in _closed_intents(sorted(obj_intents), *masks):
+    # every kept intent lies in two or more objects, so its extent has two
+    for intent in _closed_intents(objects, *masks):
         bits = bit_indices(intent)
         extent = -1
         for j in bits:
             extent &= attr[j]
-        if extent.bit_count() < 2:
-            continue
         out.append(
             Candidate._from_sorted(
                 tuple(map(uppers.__getitem__, bit_indices(extent))),

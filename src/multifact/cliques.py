@@ -15,9 +15,9 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
     """
     n = g.vertex_count
     nbr = [0] * n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    for u, vs in enumerate(g._adj):
+        for v in vs:
+            nbr[u] |= 1 << v
 
     found: list[int] = []
     stack = [(0, (1 << n) - 1, 0)] if n else []

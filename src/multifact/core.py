@@ -41,7 +41,7 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Finite simple undirected graph on dense integer vertices 0..n-1."""
 
-    __slots__ = ("labels", "edges", "_adj")
+    __slots__ = ("labels", "_adj", "_edges")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
         self.labels: tuple[str, ...] = tuple(labels)
@@ -49,16 +49,14 @@ class Graph:
         if len(set(self.labels)) != n:
             raise ContractError("vertex labels must be unique")
         adj: list[set[int]] = [set() for _ in range(n)]
-        canon: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ContractError(f"edge ({u}, {v}) references an unknown vertex")
             u, v = canonical_edge(u, v)
-            canon.add((u, v))
             adj[u].add(v)
             adj[v].add(u)
-        self.edges: frozenset[tuple[int, int]] = frozenset(canon)
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
+        self._edges: frozenset[tuple[int, int]] | None = None
 
     @classmethod
     def from_edge_list(
@@ -79,6 +77,15 @@ class Graph:
     def vertices(self) -> range:
         return range(len(self.labels))
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Flat canonical edge set; computed from adjacency on first use."""
+        if self._edges is None:
+            self._edges = frozenset(
+                (x, y) for x, nbrs in enumerate(self._adj) for y in nbrs if x < y
+            )
+        return self._edges
+
     def neighbours(self, x: int) -> frozenset[int]:
         if not (0 <= x < len(self.labels)):
             raise KeyError(x)
@@ -87,13 +94,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.labels == other.labels and self.edges == other.edges
+        return self.labels == other.labels and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.edges))
+        return hash((self.labels, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={len(self.labels)}, m={len(self.edges)})"
+        return f"Graph(n={len(self.labels)}, m={sum(map(len, self._adj)) // 2})"
 
 
 class MultipartiteGraph:

@@ -11,7 +11,7 @@ a level, and jointly realise every strict chain of nontrivial elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .cliques import maximal_cliques
@@ -28,19 +28,16 @@ def _canon_key(s: frozenset[int]):
 
 @dataclass(eq=False)
 class IntersectionFamily:
-    """Intersections of maximal cliques, their supports, and the chain order.
-
-    ``through[v]`` is the mask of the cliques through source vertex v.
-    """
+    """Intersections of maximal cliques, their supports, and the chain order."""
 
     universe: frozenset[int]
     cliques: tuple[frozenset[int], ...]
-    through: list[int]
     elements: frozenset[frozenset[int]]
     nontrivial: tuple[frozenset[int], ...]
     supports: dict[frozenset[int], frozenset[int]]
     height: int
     _supersets: dict[frozenset[int], tuple[frozenset[int], ...]]
+    _level1: tuple | None = field(default=None, repr=False)
 
     def strict_supersets(self, o: frozenset[int]) -> tuple[frozenset[int], ...]:
         return self._supersets[o]
@@ -114,7 +111,6 @@ def intersection_family(g: Graph) -> IntersectionFamily:
     return IntersectionFamily(
         universe=frozenset(g.vertices()),
         cliques=ks,
-        through=through,
         elements=elements,
         nontrivial=nontrivial,
         supports=supports,
@@ -155,65 +151,73 @@ class CharSeq:
 
 
 def _level1_clique_map(m: MultipartiteGraph, fam: IntersectionFamily) -> dict[int, int]:
+    """Level-1 vertex -> index of its clique; kept on the family for m's next check."""
+    if fam._level1 is not None and fam._level1[0] is m:
+        return fam._level1[1]
     index = {c: i for i, c in enumerate(fam.cliques)}
-    out = {}
+    owner: dict[int, int] = {}
     for y in sorted(m.levels[1]):
-        members = m.snapshot(y, 0)
-        i = index.get(members)
+        i = index.get(m.snapshot(y, 0))
         if i is None:
             raise IntegrityError(f"level-1 vertex {y} does not match any maximal clique")
-        out[y] = i
-    return out
+        if i in owner:
+            raise IntegrityError(f"level-1 vertices {owner[i]} and {y} carry the same clique")
+        owner[i] = y
+    fam._level1 = (m, {y: i for i, y in owner.items()})
+    return fam._level1[1]
 
 
 class _Resolver:
-    """Shared tables for resolving many sequences against one clique family."""
+    """Shared tables for resolving many sequences against one clique family.
 
-    __slots__ = ("m", "fam", "to_clique")
+    A vertex of level >= 2 stands for the mask of the cliques its level-1
+    snapshot carries; the level-1 map is injective, so ANDing masks
+    intersects clique sets.  An element's support determines it, so one
+    table from support mask to element (each single clique under its own
+    bit) resolves a shared clique set, or finds it supports no element.
+    """
+
+    __slots__ = ("m", "fam", "to_clique", "by_support", "masks")
 
     def __init__(self, m: MultipartiteGraph, fam: IntersectionFamily):
         self.m = m
         self.fam = fam
         self.to_clique = _level1_clique_map(m, fam) if m.top >= 1 else {}
+        self.by_support = {sum(1 << i for i in sup): o for o, sup in fam.supports.items()}
+        self.by_support.update((1 << i, c) for i, c in enumerate(fam.cliques))
+        self.masks: dict[int, int] = {}  # built on first use
 
-    def sequence(self, x: int) -> CharSeq:
-        m = self.m
-        fam = self.fam
-        to_clique = self.to_clique
-        through = fam.through
-        full = (1 << len(fam.cliques)) - 1
-        k = m._level_of[x]
+    def sequence(self, x: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
+        """The entries of x's sequence and the positions of its sentinels."""
+        k = self.m._level_of[x]
         if k < 2:
             raise ContractError(f"vertex {x} is at level {k}; sequences start at level 2")
-        snaps = m.snapshots
+        snaps, masks = self.m.snapshots, self.masks
         entries: list[frozenset[int]] = [snaps[x][0]]
         sentinel_at: list[int] = []
         for j in range(2, k):
             ys = snaps[x][j]
             if not ys:
-                raise IntegrityError(
-                    f"vertex {x} has an empty creation level-{j} neighbourhood"
-                )
-            common = frozenset.intersection(*(snaps[y][1] for y in ys))
+                raise IntegrityError(f"vertex {x} has an empty creation level-{j} neighbourhood")
+            common = -1
+            for y in ys:
+                mask = masks.get(y)
+                if mask is None:
+                    mask = masks[y] = sum(1 << self.to_clique[c] for c in snaps[y][1])
+                common &= mask
             if not common:
-                entries.append(fam.universe)
+                entries.append(self.fam.universe)
                 sentinel_at.append(j)
                 continue
-            fmask = 0
-            for c in common:
-                fmask |= 1 << to_clique[c]
-            element = frozenset.intersection(*(fam.cliques[i] for i in bit_indices(fmask)))
+            element = self.by_support.get(common)
             # the shared cliques must be exactly the cliques of the entry,
             # otherwise no set satisfies the defining equation
-            kmask = full
-            for v in element:
-                kmask &= through[v]
-            if kmask != fmask:
+            if element is None:
                 raise IntegrityError(
                     f"vertex {x}: no set is carried by exactly the shared cliques at level {j}"
                 )
             entries.append(element)
-        return CharSeq(vertex=x, entries=tuple(entries), sentinel_at=tuple(sentinel_at))
+        return tuple(entries), tuple(sentinel_at)
 
 
 def characterising_sequence(
@@ -229,12 +233,10 @@ def characterising_sequence(
     """
     if run.mode != "clean":
         raise ContractError("characterising sequences are defined for clean runs")
-    m = run.final
-    if m.level_of(x) < 2:
-        raise ContractError(f"vertex {x} is at level {m.level_of(x)}; sequences start at level 2")
     if fam is None:
         fam = intersection_family(run.source)
-    return _Resolver(m, fam).sequence(x)
+    entries, sentinel_at = _Resolver(run.final, fam).sequence(x)
+    return CharSeq(vertex=x, entries=entries, sentinel_at=sentinel_at)
 
 
 def _labels_of(g: Graph, s: Iterable[int]) -> list[str]:
@@ -269,14 +271,14 @@ def verify_charseq_theorem(run: SeriesRun, fam: IntersectionFamily | None = None
         chain_bad: list[dict] = []
         member_bad: list[dict] = []
         for x in xs:
-            s = resolver.sequence(x)
-            seqs[x] = s.entries
-            if any(not a < b for a, b in zip(s.entries, s.entries[1:])):
+            entries, _ = resolver.sequence(x)
+            seqs[x] = entries
+            if any(not a < b for a, b in zip(entries, entries[1:])):
                 if len(chain_bad) < _WITNESS_CAP:
                     chain_bad.append(
-                        {"vertex": m.labels[x], "entries": [_labels_of(src, e) for e in s.entries]}
+                        {"vertex": m.labels[x], "entries": [_labels_of(src, e) for e in entries]}
                     )
-            for e in s.entries[1:]:
+            for e in entries[1:]:
                 if e not in nontrivial and len(member_bad) < _WITNESS_CAP:
                     member_bad.append({"vertex": m.labels[x], "entry": _labels_of(src, e)})
         distinct = len(set(seqs.values())) == len(seqs)

@@ -182,15 +182,18 @@ def test_effectiveness_nesting(seed):
             assert weak_candidates(m).effective
 
 
-def _all_pairs_closure(obj_intents, keep_mask, meet_mask):
+def _all_pairs_closure(objects, keep_mask, meet_mask):
     """The concept walk before it was indexed: every object meets every intent.
 
     Kept as the reference the indexed walk is compared with.  It prunes by
     ``keep_mask`` only and applies ``meet_mask`` to the finished closure,
-    as the clean rule once filtered its candidates.
+    as the clean rule once filtered its candidates.  The closure holds each
+    object's own intent too; only the intents contained in two or more of
+    the listed objects, equal objects counted apart, are intersections of
+    two or more objects.
     """
     intents = set()
-    for om in obj_intents:
+    for om in objects:
         if (om & keep_mask).bit_count() < 2:
             continue
         cuts = {om}
@@ -198,7 +201,11 @@ def _all_pairs_closure(obj_intents, keep_mask, meet_mask):
         cuts -= intents
         if cuts:
             intents.update(c for c in cuts if (c & keep_mask).bit_count() >= 2)
-    return {c for c in intents if (c & meet_mask).bit_count() >= 2}
+    return {
+        c
+        for c in intents
+        if (c & meet_mask).bit_count() >= 2 and sum(c & o == c for o in objects) >= 2
+    }
 
 
 def _masks(width: int, bits: st.SearchStrategy[int]) -> st.SearchStrategy[int]:
@@ -232,13 +239,15 @@ CONTEXTS = st.one_of(
 def test_closed_intents_match_the_all_pairs_closure(context):
     objects, keep_mask, meet_mask = context
     want = _all_pairs_closure(objects, keep_mask, meet_mask)
+    unique = sorted(set(objects))
+    want_unique = _all_pairs_closure(unique, keep_mask, meet_mask)
     saved = candidates._SCAN_LIMIT
     try:
         # the full scan, the index from the first intent on, and the default
         for limit in (sys.maxsize, 0, saved):
             candidates._SCAN_LIMIT = limit
             assert _closed_intents(objects, keep_mask, meet_mask) == want
-            assert _closed_intents(sorted(set(objects)), keep_mask, meet_mask) == want
+            assert _closed_intents(unique, keep_mask, meet_mask) == want_unique
     finally:
         candidates._SCAN_LIMIT = saved
 

@@ -78,8 +78,8 @@ class TestEdgeList:
             serialise_edge_list(Graph(["#a", "c"], [(0, 1)]))
 
     def test_reading_costs_little_more_than_the_graph_it_builds(self):
-        # K_200: the graph keeps about 4 MB; a frozenset key per line and a
-        # second pass over labelled edges once peaked at 4.4 times that
+        # K_200: the graph keeps about 1.6 MB; a frozenset key per line and
+        # a second pass over labelled edges once peaked at 4.4 times the graph
         text = "".join(f"v{i} v{j}\n" for i in range(200) for j in range(i + 1, 200))
         tracemalloc.start()
         try:
@@ -89,6 +89,9 @@ class TestEdgeList:
             tracemalloc.stop()
         assert len(g.edges) == 19900
         assert peak < 3 * kept
+        # the adjacency sets alone: a frozenset of edge tuples kept beside
+        # them once doubled the graph to 3.7 MB
+        assert kept < 2 * 2**20
 
 
 def pipeline_graph() -> MultipartiteGraph:

@@ -1,10 +1,15 @@
+import dataclasses
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifact import (
     ContractError,
     Graph,
+    IntegrityError,
+    MultipartiteGraph,
     brute_force_candidates,
     chains,
     characterising_sequence,
@@ -19,6 +24,7 @@ from multifact import (
     verify_v2_bijection,
 )
 from multifact.candidates import clean_candidates
+from multifact.lattice import _Resolver
 from tests.conftest import DATA
 
 
@@ -259,6 +265,151 @@ class TestCharacterisingSequence:
         run = run_clean(fix_chain)
         with pytest.raises(ContractError):
             characterising_sequence(run, next(iter(run.final.levels[0])))
+
+
+def old_sequence(m: MultipartiteGraph, fam, x: int):
+    """The resolver before it worked on clique masks: frozenset intersections.
+
+    Returns (entries, sentinel positions) and raises as that resolver did;
+    kept as the reference the mask resolver is compared with.  Its level-1
+    map need not be injective.
+    """
+    index = {c: i for i, c in enumerate(fam.cliques)}
+    to_clique = {y: index[m.snapshot(y, 0)] for y in m.levels[1]}
+    through = [0] * len(fam.universe)
+    for i, c in enumerate(fam.cliques):
+        for v in c:
+            through[v] |= 1 << i
+    snaps = m.snapshots
+    entries = [snaps[x][0]]
+    sentinel_at = []
+    for j in range(2, m.level_of(x)):
+        ys = snaps[x][j]
+        if not ys:
+            raise IntegrityError(f"vertex {x} has an empty creation level-{j} neighbourhood")
+        common = frozenset.intersection(*(snaps[y][1] for y in ys))
+        if not common:
+            entries.append(fam.universe)
+            sentinel_at.append(j)
+            continue
+        fmask = sum(1 << to_clique[c] for c in common)
+        element = frozenset.intersection(*(fam.cliques[to_clique[c]] for c in common))
+        kmask = (1 << len(fam.cliques)) - 1
+        for v in element:
+            kmask &= through[v]
+        if kmask != fmask:
+            raise IntegrityError(
+                f"vertex {x}: no set is carried by exactly the shared cliques at level {j}"
+            )
+        entries.append(element)
+    return tuple(entries), tuple(sentinel_at)
+
+
+def outcome(resolve, *args):
+    try:
+        return resolve(*args)
+    except IntegrityError as e:
+        return str(e)
+
+
+def with_snapshots(m: MultipartiteGraph, changes: dict) -> MultipartiteGraph:
+    """A copy of m whose snapshots ``changes[x][j]`` are replaced."""
+    snaps = {x: dict(per) for x, per in m.snapshots.items()}
+    for x, per in changes.items():
+        snaps[x].update(per)
+    return MultipartiteGraph(m.levels, m.labels, m.edges, snaps)
+
+
+def scrambled(m: MultipartiteGraph, seed: int) -> MultipartiteGraph:
+    """m with random level-1 snapshots on about half its vertices of level >= 2.
+
+    The shared cliques then also come out empty (a sentinel) or without an
+    element they support (an error), which no clean run has shown.
+    """
+    rnd = random.Random(seed)
+    ones = sorted(m.levels[1])
+    changes = {
+        x: {1: rnd.sample(ones, rnd.randint(0, len(ones)))}
+        for k in range(2, m.top + 1)
+        for x in sorted(m.levels[k])
+        if rnd.random() < 0.5
+    }
+    return with_snapshots(m, changes)
+
+
+class TestResolver:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.builds(
+            random_graph,
+            st.integers(min_value=0, max_value=11),
+            st.sampled_from([0.3, 0.5, 0.7]),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_the_frozenset_resolver(self, g, seed):
+        run = run_clean(g)
+        fam = intersection_family(g)
+        for stage in run.graphs:
+            if stage.top < 2:
+                continue
+            for m in (stage, scrambled(stage, seed)):
+                resolver = _Resolver(m, fam)
+                for k in range(2, m.top + 1):
+                    for x in sorted(m.levels[k]):
+                        got = outcome(resolver.sequence, x)
+                        assert got == outcome(old_sequence, m, fam, x)
+                        # a clean run resolves every sequence
+                        assert m is not stage or isinstance(got, tuple)
+
+    def test_scrambling_reaches_every_outcome(self):
+        g = random_graph(9, 0.7, 4)
+        run = run_clean(g)
+        fam = intersection_family(g)
+        got = []
+        for seed in range(5):
+            m = scrambled(run.final, seed)
+            resolver = _Resolver(m, fam)
+            got += [outcome(resolver.sequence, x) for k in range(3, m.top + 1) for x in m.levels[k]]
+        assert any(isinstance(o, str) for o in got)
+        assert any(isinstance(o, tuple) and o[1] for o in got)
+        assert any(isinstance(o, tuple) and not o[1] for o in got)
+
+    def test_unclosed_clique_set_is_an_integrity_error(self, fix_chain):
+        # the level-2 vertex of {a,b,c} claims cliques {a,b,c,d} and {a,b,f}:
+        # they meet in {a,b}, which the third clique carries too
+        run = run_clean(fix_chain)
+        m = run.final
+        ones = sorted(m.levels[1])
+        (y,) = [y for y in m.levels[2] if m.snapshot(y, 0) == {0, 1, 2}]
+        bad = with_snapshots(m, {y: {1: {ones[0], ones[2]}}})
+        (x,) = bad.levels[3]
+        fam = intersection_family(fix_chain)
+        message = f"vertex {x}: no set is carried by exactly the shared cliques at level 2"
+        assert outcome(old_sequence, bad, fam, x) == message
+        assert outcome(_Resolver(bad, fam).sequence, x) == message
+        with pytest.raises(IntegrityError, match="exactly the shared cliques"):
+            verify_charseq_theorem(dataclasses.replace(run, graphs=[bad]), fam)
+
+    def test_two_level1_vertices_on_one_clique(self, fix_chain):
+        run = run_clean(fix_chain)
+        m = run.final
+        a, b, _ = sorted(m.levels[1])
+        bad = with_snapshots(m, {b: {0: m.snapshot(a, 0)}})
+        bad_run = dataclasses.replace(run, graphs=[bad])
+        for check in (verify_charseq_theorem, verify_v2_bijection):
+            with pytest.raises(IntegrityError, match=f"{a} and {b} carry the same clique"):
+                check(bad_run, intersection_family(fix_chain))
+
+    def test_level1_map_is_built_once_per_graph(self, fix_chain):
+        run = run_clean(fix_chain)
+        fam = intersection_family(fix_chain)
+        verify_charseq_theorem(run, fam)
+        kept = fam._level1
+        assert kept[0] is run.final
+        verify_v2_bijection(run, fam)
+        assert fam._level1 is kept
 
 
 class TestVerifyTheorem:
