@@ -10,7 +10,7 @@ from .candidates import (
     weak_candidates,
 )
 from .cliques import clique_incidence, collapse_bipartite, maximal_cliques
-from .core import ContractError, Graph, IntegrityError, MultipartiteGraph, record_snapshots
+from .core import ContractError, Graph, IntegrityError, MultipartiteGraph
 from .fileio import (
     FormatError,
     parse_edge_list,
@@ -77,7 +77,6 @@ __all__ = [
     "parse_multipartite",
     "project",
     "random_graph",
-    "record_snapshots",
     "roundtrip_report",
     "run_clean",
     "run_factor",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import lattice
 from .cliques import collapse_bipartite
@@ -41,9 +42,14 @@ EXIT_CAP = 2
 EXIT_FAILED = 3
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """Parse a file; a format error names the file, an ``OSError`` reaches main."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = fh.read()
+    try:
+        return parse(text)
+    except ContractError as e:
+        raise ContractError(f"{path}: {e}") from None
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -70,16 +76,8 @@ def _run_series(g: Graph, mode: str, cap: int | None) -> SeriesRun:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        g = parse_edge_list(_read(args.input))
-    except OSError as e:
-        return _fail(str(e))
-    except ContractError as e:
-        return _fail(f"{args.input}: {e}")
-    try:
-        run = _run_series(g, args.mode, args.cap)
-    except ContractError as e:
-        return _fail(str(e))
+    g = _load(args.input, parse_edge_list)
+    run = _run_series(g, args.mode, args.cap)
     blob = serialise_multipartite(run.final)
     status = run.status.describe()
     if args.output is None:
@@ -93,14 +91,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _lattice_checks(run: SeriesRun) -> tuple[dict, dict, dict]:
-    # one family (and its cliques) serves all three checks and is freed
-    # before the round trip runs; it is looked up on the module, the one
-    # name every build uses
+    # one family serves all three checks and is freed before the round
+    # trip runs; it is looked up on the module, the one name every build
+    # uses.  The family and the size bound read the cliques the clean run
+    # enumerated, which the source graph keeps.
     fam = lattice.intersection_family(run.source)
     return (
         verify_charseq_theorem(run, fam=fam),
         verify_v2_bijection(run, fam=fam),
-        size_bound(run.source, run.final, cliques=fam.cliques),
+        size_bound(run.source, run.final),
     )
 
 
@@ -140,10 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.random is not None:
         if args.input is not None:
             return _fail("give either an input path or --random, not both")
-        try:
-            params = _suite_params(args.random)
-        except ContractError as e:
-            return _fail(str(e))
+        params = _suite_params(args.random)
         n, seeds, p = params["n"], params["seeds"], params["p"]
         base = suite_seed(n, p, 0) if args.seed is None else args.seed
         failures: list[dict] = []
@@ -174,48 +170,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.input is None:
             return _fail("an input path or --random is required")
-        try:
-            g = parse_edge_list(_read(args.input))
-        except OSError as e:
-            return _fail(str(e))
-        except ContractError as e:
-            return _fail(f"{args.input}: {e}")
+        g = _load(args.input, parse_edge_list)
         out = {"source": args.input, **_verify_report(g)}
     print(json.dumps(out, indent=2))
     return EXIT_OK if out["pass"] else EXIT_FAILED
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    try:
-        m = parse_multipartite(_read(args.input))
-    except OSError as e:
-        return _fail(str(e))
-    except ContractError as e:
-        return _fail(f"{args.input}: {e}")
-    try:
-        if args.to_graph:
-            text = serialise_edge_list(collapse_bipartite(m))
-        else:
-            if m.top < 2:
-                return _fail(f"projection needs at least 3 levels, got {m.top + 1}")
-            text = serialise_multipartite(project(m))
-    except ContractError as e:
-        return _fail(str(e))
+    m = _load(args.input, parse_multipartite)
+    if args.to_graph:
+        text = serialise_edge_list(collapse_bipartite(m))
+    else:
+        if m.top < 2:
+            return _fail(f"projection needs at least 3 levels, got {m.top + 1}")
+        text = serialise_multipartite(project(m))
     _emit(text, args.output)
     return EXIT_OK
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        g = parse_edge_list(_read(args.input))
-    except OSError as e:
-        return _fail(str(e))
-    except ContractError as e:
-        return _fail(f"{args.input}: {e}")
-    try:
-        run = _run_series(g, args.mode, args.cap)
-    except ContractError as e:
-        return _fail(str(e))
+    g = _load(args.input, parse_edge_list)
+    run = _run_series(g, args.mode, args.cap)
     stats = series_stats(run)
     # timing stays off stdout so identical inputs give identical bytes
     total = 0.0
@@ -227,10 +202,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"{name}: {ms:.1f} ms (candidates {c:.1f} ms, factorise {f:.1f} ms)", file=sys.stderr)
     print(f"total: {total:.1f} ms", file=sys.stderr)
     if args.mode == "clean":
-        # the level-1 vertices' creation snapshots are the maximal cliques
-        m = run.final
-        cliques = [m.snapshots[y][0] for y in m.levels[1]]
-        stats["final"]["bound"] = size_bound(g, m, cliques=cliques)
+        # g keeps the cliques the run enumerated
+        stats["final"]["bound"] = size_bound(g, run.final)
     else:
         stats["final"]["bound"] = None
     print(json.dumps(stats, indent=2))
@@ -297,10 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing leaves the tree unchanged, so one build serves every call
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ContractError, OSError) as e:
+        # unreadable input or input outside a command's contract: one line
+        return _fail(str(e))
     except IntegrityError as e:
         # a broken guarantee is a verification failure, reported in one line
         return _fail(str(e), EXIT_FAILED)

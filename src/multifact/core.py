@@ -5,7 +5,9 @@ across decomposition steps; each step only appends fresh ids for its new
 top level, so in pipeline-built graphs every level occupies a contiguous
 id block.  Decompositions of moderately dense graphs run to tens of
 thousands of vertices, so construction keeps adjacency as shared frozensets
-and only materialises the flat edge set on demand.
+and only materialises the flat edge set on demand.  A ``Graph`` also keeps
+its maximal cliques once ``cliques.maximal_cliques`` has enumerated them, so
+every layer that reads them shares one enumeration.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Finite simple undirected graph on dense integer vertices 0..n-1."""
 
-    __slots__ = ("labels", "_adj", "_edges")
+    __slots__ = ("labels", "_adj", "_edges", "_cliques")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
         self.labels: tuple[str, ...] = tuple(labels)
@@ -57,6 +59,8 @@ class Graph:
             adj[v].add(u)
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
         self._edges: frozenset[tuple[int, int]] | None = None
+        # filled by cliques.maximal_cliques on first use
+        self._cliques: tuple[frozenset[int], ...] | None = None
 
     @classmethod
     def from_edge_list(
@@ -251,21 +255,4 @@ class MultipartiteGraph:
 
     def __repr__(self) -> str:
         return f"MultipartiteGraph(levels={self.level_sizes()}, m={self._edge_count})"
-
-
-def record_snapshots(g: MultipartiteGraph) -> MultipartiteGraph:
-    """Record the current per-level neighbourhoods of every top-level vertex.
-
-    Intended for the graph in which the top level was just created; entries
-    for lower levels are carried over untouched.  Idempotent.
-    """
-    top = g.top
-    if top == 0:
-        return g
-    snaps = dict(g.snapshots)
-    for x in g.levels[top]:
-        snaps[x] = {j: g.level_neighbours(x, j) for j in range(top)}
-    return MultipartiteGraph._assemble(
-        g.levels, dict(g.labels), dict(g._adj), snaps, g._edge_count
-    )
 

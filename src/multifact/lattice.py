@@ -35,6 +35,8 @@ class IntersectionFamily:
     elements: frozenset[frozenset[int]]
     nontrivial: tuple[frozenset[int], ...]
     supports: dict[frozenset[int], frozenset[int]]
+    # support mask -> element, and each single clique under its own bit
+    by_support: dict[int, frozenset[int]]
     height: int
     _supersets: dict[frozenset[int], tuple[frozenset[int], ...]]
     _level1: tuple | None = field(default=None, repr=False)
@@ -53,9 +55,11 @@ def intersection_family(g: Graph) -> IntersectionFamily:
     cliques through all of an element's vertices are its supports.  The
     empty set is an element exactly when there are two or more cliques and
     all of them together share no vertex; three cliques can meet pairwise
-    and still do.  This fold stays separate from the candidates' concept
-    walk on purpose: the family is the reference the decomposition is
-    checked against.
+    and still do.  The fold keeps each element under its support mask, the
+    table sequences are resolved with.  This fold stays separate from the
+    candidates' concept walk on purpose: the family is the reference the
+    decomposition is checked against.  It reads the cliques g already
+    keeps, if the series enumerated them.
     """
     ks = maximal_cliques(g)
     masks = [sum(1 << v for v in c) for c in ks]
@@ -79,6 +83,7 @@ def intersection_family(g: Graph) -> IntersectionFamily:
     # containing it reaches every deeper nonempty intersection
     everyone = (1 << len(masks)) - 1
     supports: dict[frozenset[int], frozenset[int]] = {}
+    by_support: dict[int, frozenset[int]] = {}
     while frontier:
         fresh = []
         for a, vs in frontier:
@@ -86,7 +91,8 @@ def intersection_family(g: Graph) -> IntersectionFamily:
             for v in vs:
                 near |= through[v]
                 common &= through[v]
-            supports[frozenset(vs)] = frozenset(bit_indices(common))
+            element = by_support[common] = frozenset(vs)
+            supports[element] = frozenset(bit_indices(common))
             for j in bit_indices(near & ~common):
                 x = a & masks[j]
                 if x not in seen:
@@ -95,6 +101,8 @@ def intersection_family(g: Graph) -> IntersectionFamily:
         frontier = fresh
     if len(masks) >= 2 and not frozenset.intersection(*ks):
         supports[frozenset()] = frozenset(range(len(masks)))
+        by_support[everyone] = frozenset()
+    by_support.update((1 << i, c) for i, c in enumerate(ks))
     elements = frozenset(supports)
     nontrivial = tuple(sorted((o for o in elements if len(o) >= 2), key=_canon_key))
 
@@ -114,6 +122,7 @@ def intersection_family(g: Graph) -> IntersectionFamily:
         elements=elements,
         nontrivial=nontrivial,
         supports=supports,
+        by_support=by_support,
         height=height,
         _supersets=supersets,
     )
@@ -172,19 +181,17 @@ class _Resolver:
 
     A vertex of level >= 2 stands for the mask of the cliques its level-1
     snapshot carries; the level-1 map is injective, so ANDing masks
-    intersects clique sets.  An element's support determines it, so one
-    table from support mask to element (each single clique under its own
-    bit) resolves a shared clique set, or finds it supports no element.
+    intersects clique sets.  An element's support determines it, so the
+    family's table from support mask to element resolves a shared clique
+    set, or finds it supports no element.
     """
 
-    __slots__ = ("m", "fam", "to_clique", "by_support", "masks")
+    __slots__ = ("m", "fam", "to_clique", "masks")
 
     def __init__(self, m: MultipartiteGraph, fam: IntersectionFamily):
         self.m = m
         self.fam = fam
         self.to_clique = _level1_clique_map(m, fam) if m.top >= 1 else {}
-        self.by_support = {sum(1 << i for i in sup): o for o, sup in fam.supports.items()}
-        self.by_support.update((1 << i, c) for i, c in enumerate(fam.cliques))
         self.masks: dict[int, int] = {}  # built on first use
 
     def sequence(self, x: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
@@ -209,7 +216,7 @@ class _Resolver:
                 entries.append(self.fam.universe)
                 sentinel_at.append(j)
                 continue
-            element = self.by_support.get(common)
+            element = self.fam.by_support.get(common)
             # the shared cliques must be exactly the cliques of the entry,
             # otherwise no set satisfies the defining equation
             if element is None:
@@ -354,21 +361,16 @@ def verify_v2_bijection(run: SeriesRun, fam: IntersectionFamily | None = None) -
     }
 
 
-def size_bound(
-    g: Graph, m: MultipartiteGraph, cliques: Iterable[frozenset[int]] | None = None
-) -> dict:
+def size_bound(g: Graph, m: MultipartiteGraph) -> dict:
     """Exact-arithmetic bound on the decomposition size.
 
     With every vertex of g in at most k maximal cliques and no clique larger
     than c, the decomposition of an n-vertex graph cannot exceed
-    4 * min(k * 2^c * c!, 2^k * k!) * n vertices.  Given ``cliques``, the
-    maximal cliques of g in any order, they are not enumerated again.
+    4 * min(k * 2^c * c!, 2^k * k!) * n vertices.
     """
-    if cliques is None:
-        cliques = maximal_cliques(g)
     per_vertex = [0] * g.vertex_count
     c = 0
-    for clique in cliques:
+    for clique in maximal_cliques(g):
         c = max(c, len(clique))
         for v in clique:
             per_vertex[v] += 1

@@ -34,6 +34,27 @@ def fix_chain_file(tmp_path):
     return path
 
 
+def count_clique_results(monkeypatch) -> list:
+    """Record every tuple that a lookup of ``maximal_cliques`` returns."""
+    from multifact import cliques, lattice
+
+    results = []
+    for module in (cliques, lattice):
+        real = module.maximal_cliques
+
+        def counting(g, real=real):
+            results.append(real(g))
+            return results[-1]
+
+        monkeypatch.setattr(module, "maximal_cliques", counting)
+    return results
+
+
+def enumerations(results: list) -> int:
+    # an enumeration builds a new tuple; a kept result is the same object
+    return len({id(r) for r in results})
+
+
 class TestDecompose:
     def test_diamond_to_file(self, diamond_file, tmp_path, capsys):
         out = tmp_path / "diamond.mg"
@@ -66,6 +87,11 @@ class TestDecompose:
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["decompose", str(tmp_path / "nope.edges")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_output_is_one_error_line(self, diamond_file, tmp_path, capsys):
+        assert main(["decompose", str(diamond_file), "-o", str(tmp_path / "no" / "x.mg")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_unknown_flag_exits_1_not_2(self, diamond_file, capsys):
         # 2 belongs to cap-reached; usage errors count as input errors
@@ -168,7 +194,7 @@ class TestVerify:
         assert "Traceback" not in err
 
     def test_builds_the_intersection_family_once(self, fix_chain_file, capsys, monkeypatch):
-        from multifact import cliques, lattice
+        from multifact import lattice
 
         builds = []
         real = lattice.intersection_family
@@ -178,38 +204,22 @@ class TestVerify:
             return real(g)
 
         monkeypatch.setattr(lattice, "intersection_family", counting)
-        # cliques are enumerated once for the clean run and once for the
-        # family, whose cliques the size bound reuses
-        enumerations = []
-        for module in (cliques, lattice):
-            real_cliques = module.maximal_cliques
-
-            def counting_cliques(g, real_cliques=real_cliques):
-                enumerations.append(g)
-                return real_cliques(g)
-
-            monkeypatch.setattr(module, "maximal_cliques", counting_cliques)
+        # the clean run, the family and the size bound each ask for the
+        # cliques of the source graph, and one enumeration answers all three
+        results = count_clique_results(monkeypatch)
         assert main(["verify", str(fix_chain_file)]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
         assert len(builds) == 1
-        assert len(enumerations) == 2
+        assert len(results) == 3
+        assert enumerations(results) == 1
 
     def test_stats_enumerates_cliques_once(self, fix_chain_file, capsys, monkeypatch):
-        from multifact import cliques, lattice
-
-        # the size bound reads the cliques off the level-1 snapshots
-        enumerations = []
-        for module in (cliques, lattice):
-            real_cliques = module.maximal_cliques
-
-            def counting_cliques(g, real_cliques=real_cliques):
-                enumerations.append(g)
-                return real_cliques(g)
-
-            monkeypatch.setattr(module, "maximal_cliques", counting_cliques)
+        # the clean run and the size bound ask; one enumeration answers both
+        results = count_clique_results(monkeypatch)
         assert main(["stats", str(fix_chain_file)]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert len(enumerations) == 1
+        assert len(results) == 2
+        assert enumerations(results) == 1
         g = parse_edge_list(fix_chain_file.read_text())
         assert stats["final"]["bound"] == size_bound(g, run_clean(g).final)
         assert stats["final"]["bound"]["cliques_per_vertex"] == 3
@@ -312,6 +322,43 @@ def test_integrity_error_exits_3_with_one_line(diamond_file, argv, capsys, monke
     assert ("seed " in captured.err) == ("--random" in argv)
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["decompose", "stats", "verify"])
+@pytest.mark.parametrize(
+    "edges, label",
+    [("a b\na c\nb c\nb d\nc d\nL2#0 a\n", "L2#0"), ("L1#0 b\nb c\n", "L1#0")],
+    ids=["level-2-label", "level-1-label"],
+)
+def test_generated_label_in_the_input_is_one_error_line(tmp_path, command, edges, label, capsys):
+    # a later level would repeat the label, and the mgraph could not be read back
+    path = tmp_path / "reserved.edges"
+    path.write_text(edges)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: label '{label}' is reserved for generated vertices\n"
+    assert captured.out == ""
+
+
+def test_one_parser_serves_every_call(diamond_file, capsys):
+    # a rejected flag or a flag given before leaves no trace on the next call
+    def call(argv):
+        rc = main(argv)
+        return rc, capsys.readouterr()
+
+    first = call(["decompose", str(diamond_file)])
+    verified = call(["verify", str(diamond_file)])
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(["decompose", str(diamond_file), "--mode", "bogus"])
+        assert e.value.code == 1
+        capsys.readouterr()
+        assert call(["decompose", str(diamond_file)]) == first
+        assert call(["stats", str(diamond_file), "--mode", "weak", "--cap", "1"])[0] == 2
+        assert call(["decompose", str(diamond_file)]) == first
+        assert call(["verify", str(diamond_file)]) == verified
+    assert first[0] == 0 and first[1].out.startswith("mgraph 3\n")
+    assert cli._parser() is cli._parser()
 
 
 def test_stdout_is_byte_identical_across_runs(diamond_file):

@@ -4,7 +4,6 @@ from multifact import (
     ContractError,
     Graph,
     MultipartiteGraph,
-    record_snapshots,
 )
 from multifact.core import canonical_edge
 
@@ -131,10 +130,3 @@ class TestMultipartiteGraph:
             [(0, 2), (1, 2), (2, 4), (0, 4)],
         )
         assert tripartite() != other  # snapshots differ
-
-    def test_record_snapshots_is_idempotent_and_preserves_lower(self):
-        m = tripartite()
-        r = record_snapshots(m)
-        assert r.snapshot(4, 0) == {0} and r.snapshot(4, 1) == {2}
-        assert r.snapshots[2] == {0: frozenset({0, 1})}  # carried over untouched
-        assert record_snapshots(r) == r

@@ -202,6 +202,10 @@ class TestIndexedFamily:
         elements, supports, supersets, height = old_family(g)
         assert fam.elements == elements
         assert fam.supports == supports
+        # the fold's own table against one built from the scanned supports
+        table = {sum(1 << i for i in sup): o for o, sup in supports.items()}
+        table.update((1 << i, c) for i, c in enumerate(fam.cliques))
+        assert fam.by_support == table
         assert {o: set(fam.strict_supersets(o)) for o in fam.nontrivial} == supersets
         assert fam.height == height
 
