@@ -19,7 +19,6 @@ from .fileio import (
     serialise_multipartite,
 )
 from .lattice import (
-    CharSeq,
     IntersectionFamily,
     chains,
     characterising_sequence,
@@ -49,7 +48,6 @@ __all__ = [
     "BRUTE_FORCE_LIMIT",
     "Candidate",
     "CandidateFamily",
-    "CharSeq",
     "ContractError",
     "DEFAULT_CAP",
     "FactorStep",

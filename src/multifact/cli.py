@@ -45,7 +45,11 @@ EXIT_FAILED = 3
 def _load(path: str, parse):
     """Parse a file; a format error names the file, an ``OSError`` reaches main."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            # one read decodes the whole file, so the offset is the file's
+            raise ContractError(f"{path}: byte {e.start} is not UTF-8") from None
     try:
         return parse(text)
     except ContractError as e:

@@ -6,6 +6,20 @@ Each vertex of level >= 2 in a clean decomposition determines a sequence of
 such elements read off its creation snapshots, and the decomposition is
 correct exactly when those sequences are strict chains, are distinct within
 a level, and jointly realise every strict chain of nontrivial elements.
+
+Creation lemma.  Write ``snap[v][i]`` for v's creation level-i
+neighbourhood.  For x at level k >= 3 and 2 <= j <= k-1, every y in
+``snap[x][j]`` has ``snap[y][1] >= snap[x][1]``.  A vertex gets all of its
+edges to lower levels when it is created and later steps only cut them, so
+``adj(v) & level i <= snap[v][i]``.  For j = k-1, y is an upper vertex of
+x's candidate, adjacent before the step to all of its lower part L, so
+``snap[x][1] = L & level 1 <= snap[y][1]``.  For j <= k-2, any upper vertex
+u was adjacent to y and to ``L & level 1``, so y is in ``snap[u][j]`` and
+``snap[x][1] <= snap[u][1]``; induction on u at level k-1 gives
+``snap[y][1] >= snap[u][1]``.  In a clean run ``snap[x][1]`` holds at least
+two cliques (the factor rule at k = 3, the two-clique rule from k = 4 on),
+so the cliques x's level-j neighbours share include x's own: their mask
+is never 0.
 """
 
 from __future__ import annotations
@@ -30,7 +44,6 @@ def _canon_key(s: frozenset[int]):
 class IntersectionFamily:
     """Intersections of maximal cliques, their supports, and the chain order."""
 
-    universe: frozenset[int]
     cliques: tuple[frozenset[int], ...]
     elements: frozenset[frozenset[int]]
     nontrivial: tuple[frozenset[int], ...]
@@ -117,7 +130,6 @@ def intersection_family(g: Graph) -> IntersectionFamily:
         height = max(height, tallest[o])
 
     return IntersectionFamily(
-        universe=frozenset(g.vertices()),
         cliques=ks,
         elements=elements,
         nontrivial=nontrivial,
@@ -146,19 +158,6 @@ def chains(fam: IntersectionFamily, length: int) -> list[tuple[frozenset[int], .
     return out
 
 
-@dataclass(frozen=True)
-class CharSeq:
-    """Characterising sequence of a vertex: one element per level 1..k-1.
-
-    ``sentinel_at`` lists the positions (level indices j) where the shared
-    clique family was empty and the whole vertex set stands in by convention.
-    """
-
-    vertex: int
-    entries: tuple[frozenset[int], ...]
-    sentinel_at: tuple[int, ...]
-
-
 def _level1_clique_map(m: MultipartiteGraph, fam: IntersectionFamily) -> dict[int, int]:
     """Level-1 vertex -> index of its clique; kept on the family for m's next check."""
     if fam._level1 is not None and fam._level1[0] is m:
@@ -183,7 +182,9 @@ class _Resolver:
     snapshot carries; the level-1 map is injective, so ANDing masks
     intersects clique sets.  An element's support determines it, so the
     family's table from support mask to element resolves a shared clique
-    set, or finds it supports no element.
+    set, or finds it supports no element.  By the creation lemma the
+    shared mask of a clean run is never 0, and no support is 0, so a
+    hand-built graph whose neighbours share no clique fails the lookup.
     """
 
     __slots__ = ("m", "fam", "to_clique", "masks")
@@ -194,14 +195,13 @@ class _Resolver:
         self.to_clique = _level1_clique_map(m, fam) if m.top >= 1 else {}
         self.masks: dict[int, int] = {}  # built on first use
 
-    def sequence(self, x: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
-        """The entries of x's sequence and the positions of its sentinels."""
+    def sequence(self, x: int) -> tuple[frozenset[int], ...]:
+        """The entries of x's sequence, one per level 1..k-1."""
         k = self.m._level_of[x]
         if k < 2:
             raise ContractError(f"vertex {x} is at level {k}; sequences start at level 2")
         snaps, masks = self.m.snapshots, self.masks
         entries: list[frozenset[int]] = [snaps[x][0]]
-        sentinel_at: list[int] = []
         for j in range(2, k):
             ys = snaps[x][j]
             if not ys:
@@ -212,10 +212,6 @@ class _Resolver:
                 if mask is None:
                     mask = masks[y] = sum(1 << self.to_clique[c] for c in snaps[y][1])
                 common &= mask
-            if not common:
-                entries.append(self.fam.universe)
-                sentinel_at.append(j)
-                continue
             element = self.fam.by_support.get(common)
             # the shared cliques must be exactly the cliques of the entry,
             # otherwise no set satisfies the defining equation
@@ -224,26 +220,25 @@ class _Resolver:
                     f"vertex {x}: no set is carried by exactly the shared cliques at level {j}"
                 )
             entries.append(element)
-        return tuple(entries), tuple(sentinel_at)
+        return tuple(entries)
 
 
 def characterising_sequence(
     run: SeriesRun, x: int, fam: IntersectionFamily | None = None
-) -> CharSeq:
+) -> tuple[frozenset[int], ...]:
     """Resolve the sequence of intersection elements encoded by vertex x.
 
     Entry 1 is x's creation level-0 neighbourhood.  Entry j >= 2 is the
     unique family element supported by exactly the cliques every creation
-    level-j neighbour of x carried at its own creation; an empty shared
-    clique set falls back to the whole vertex set.  Failure to resolve a
-    unique element means the decomposition itself is broken.
+    level-j neighbour of x carried at its own creation; by the creation
+    lemma those include x's own cliques.  Failure to resolve a unique
+    element means the decomposition itself is broken.
     """
     if run.mode != "clean":
         raise ContractError("characterising sequences are defined for clean runs")
     if fam is None:
         fam = intersection_family(run.source)
-    entries, sentinel_at = _Resolver(run.final, fam).sequence(x)
-    return CharSeq(vertex=x, entries=entries, sentinel_at=sentinel_at)
+    return _Resolver(run.final, fam).sequence(x)
 
 
 def _labels_of(g: Graph, s: Iterable[int]) -> list[str]:
@@ -278,7 +273,7 @@ def verify_charseq_theorem(run: SeriesRun, fam: IntersectionFamily | None = None
         chain_bad: list[dict] = []
         member_bad: list[dict] = []
         for x in xs:
-            entries, _ = resolver.sequence(x)
+            entries = resolver.sequence(x)
             seqs[x] = entries
             if any(not a < b for a, b in zip(entries, entries[1:])):
                 if len(chain_bad) < _WITNESS_CAP:

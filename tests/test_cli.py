@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from multifact import (
     Graph,
@@ -397,3 +401,122 @@ def test_import_leaves_the_cli_alone():
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_bytes(b"a b\n\xff\xfe c\n")
+    mg = tmp_path / "bad.mg"
+    mg.write_bytes(b"mgraph 2\nv 0 0 \xff\n")
+    # past the first buffer of a read, the offset still counts from the start
+    long = tmp_path / "long.edges"
+    lines = b"".join(b"a%d b%d\n" % (i, i) for i in range(2000))
+    long.write_bytes(lines + b"c \xe9\n")
+    for argv, at in (
+        (["decompose", str(long)], len(lines) + 2),
+        (["decompose", str(edges)], 4),
+        (["stats", str(edges)], 4),
+        (["verify", str(edges)], 4),
+        (["project", str(mg)], 15),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[1]}: byte {at} is not UTF-8\n"
+        assert captured.out == ""
+
+
+# byte edits of valid files: the pieces a hand-edited or mangled file holds
+FUZZ_PIECES = [b"\xff", b"\r", b"\t", b"L1#0", b"#", b"-0", b"12345678901234567890", "é".encode()]
+
+
+def _fuzz_inputs() -> dict[str, list[bytes]]:
+    """The files each command reads, built from the fix-chain graph."""
+    g = Graph.from_edge_list(FIX_CHAIN)
+    edges = serialise_edge_list(g).encode()
+    clean = serialise_multipartite(run_clean(g).final).encode()
+    two = serialise_multipartite(clique_incidence(g)).encode()
+    return {
+        "decompose": [edges],
+        "stats": [edges],
+        "verify": [edges],
+        "project": [clean],
+        "project --to-graph": [two, clean],
+    }
+
+
+@st.composite
+def fuzzed_file(draw, bases: list[bytes]) -> bytes:
+    data = draw(st.sampled_from(bases))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        op = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if op == "insert":
+            at = draw(st.integers(min_value=0, max_value=len(data)))
+            data = data[:at] + draw(st.sampled_from(FUZZ_PIECES)) + data[at:]
+        elif op == "delete" and data:
+            at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+            data = data[:at] + data[at + draw(st.integers(min_value=1, max_value=40)) :]
+        elif data:
+            lines = data.splitlines(keepends=True)
+            i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            data = b"".join(lines[: i + 1] + lines[i:])
+    return data
+
+
+@st.composite
+def fuzzed_call(draw) -> tuple[str, bytes]:
+    command, bases = draw(st.sampled_from(sorted(_fuzz_inputs().items())))
+    return command, draw(fuzzed_file(bases))
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, bool]:
+    """Exit code, stderr, and whether argparse rejected the flags."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return main(argv), err.getvalue(), False
+        except SystemExit as e:
+            return e.code, err.getvalue(), True
+
+
+def assert_clean_exit(argv: list[str]) -> None:
+    rc, err, usage = run_cli(argv)
+    assert rc in (0, 1, 2, 3), (argv, rc, err)
+    assert "Traceback" not in err, (argv, err)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if rc == 1 and not usage:
+        assert len(errors) == 1, (argv, err)
+    else:
+        assert len(errors) <= 1, (argv, err)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    fuzzed_call(),
+    st.sampled_from([[], ["--mode", "weak"], ["--mode", "factor"], ["--mode", "clean"]]),
+    st.one_of(st.just([]), st.integers(min_value=-1, max_value=3).map(lambda c: ["--cap", str(c)])),
+)
+def test_fuzzed_files_exit_cleanly(tmp_path_factory, call, mode, cap):
+    command, data = call
+    head = re.match(rb"mgraph (\d+)", data)
+    # a header's level count is not bounded yet, and a large one costs memory
+    assume(command.startswith("verify") or head is None or int(head[1]) <= 999)
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    argv = [*command.split(), str(path)]
+    if command in ("decompose", "stats"):
+        argv += mode + cap
+    assert_clean_exit(argv)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=-1, max_value=8),
+    st.integers(min_value=-1, max_value=2),
+    st.sampled_from(["nan", "2", "abc", "0.5"]),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=3)),
+)
+def test_fuzzed_random_suites_exit_cleanly(n, seeds, p, seed):
+    argv = ["verify", "--random", f"n={n}", f"seeds={seeds}", f"p={p}"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert_clean_exit(argv)

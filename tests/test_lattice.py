@@ -56,7 +56,6 @@ class TestIntersectionFamily:
         assert fam.elements == {frozenset({1, 2})}
         assert fam.supports[frozenset({1, 2})] == {0, 1}
         assert fam.height == 1
-        assert fam.universe == frozenset(range(4))
 
     def test_fix_chain(self, fix_chain):
         fam = intersection_family(fix_chain)
@@ -240,16 +239,13 @@ class TestCharacterisingSequence:
     def test_fix_chain_level3_vertex(self, fix_chain):
         run = run_clean(fix_chain)
         (x,) = run.final.levels[3]
-        s = characterising_sequence(run, x)
-        assert s.entries == (frozenset({0, 1}), frozenset({0, 1, 2}))
-        assert s.sentinel_at == ()
+        assert characterising_sequence(run, x) == (frozenset({0, 1}), frozenset({0, 1, 2}))
 
     def test_level2_sequences_are_their_images(self, fix_chain):
         run = run_clean(fix_chain)
         m = run.final
         for x in m.levels[2]:
-            s = characterising_sequence(run, x)
-            assert s.entries == (m.snapshot(x, 0),)
+            assert characterising_sequence(run, x) == (m.snapshot(x, 0),)
 
     def test_sequence_lengths_and_strictness(self):
         g = random_graph(10, 0.5, 930)
@@ -259,8 +255,8 @@ class TestCharacterisingSequence:
         for k in range(2, m.top + 1):
             for x in m.levels[k]:
                 s = characterising_sequence(run, x, fam)
-                assert len(s.entries) == k - 1
-                assert all(a < b for a, b in zip(s.entries, s.entries[1:]))
+                assert len(s) == k - 1
+                assert all(a < b for a, b in zip(s, s[1:]))
 
     def test_contract_guards(self, fix_chain):
         weak = run_weak(fix_chain, cap=3)
@@ -274,28 +270,27 @@ class TestCharacterisingSequence:
 def old_sequence(m: MultipartiteGraph, fam, x: int):
     """The resolver before it worked on clique masks: frozenset intersections.
 
-    Returns (entries, sentinel positions) and raises as that resolver did;
-    kept as the reference the mask resolver is compared with.  Its level-1
-    map need not be injective.
+    Returns the entries and raises as that resolver did, except that no
+    shared clique is an error too; kept as the reference the mask resolver
+    is compared with.  Its level-1 map need not be injective.
     """
     index = {c: i for i, c in enumerate(fam.cliques)}
     to_clique = {y: index[m.snapshot(y, 0)] for y in m.levels[1]}
-    through = [0] * len(fam.universe)
+    through: dict[int, int] = {}
     for i, c in enumerate(fam.cliques):
         for v in c:
-            through[v] |= 1 << i
+            through[v] = through.get(v, 0) | 1 << i
     snaps = m.snapshots
     entries = [snaps[x][0]]
-    sentinel_at = []
     for j in range(2, m.level_of(x)):
         ys = snaps[x][j]
         if not ys:
             raise IntegrityError(f"vertex {x} has an empty creation level-{j} neighbourhood")
         common = frozenset.intersection(*(snaps[y][1] for y in ys))
         if not common:
-            entries.append(fam.universe)
-            sentinel_at.append(j)
-            continue
+            raise IntegrityError(
+                f"vertex {x}: no set is carried by exactly the shared cliques at level {j}"
+            )
         fmask = sum(1 << to_clique[c] for c in common)
         element = frozenset.intersection(*(fam.cliques[to_clique[c]] for c in common))
         kmask = (1 << len(fam.cliques)) - 1
@@ -306,7 +301,7 @@ def old_sequence(m: MultipartiteGraph, fam, x: int):
                 f"vertex {x}: no set is carried by exactly the shared cliques at level {j}"
             )
         entries.append(element)
-    return tuple(entries), tuple(sentinel_at)
+    return tuple(entries)
 
 
 def outcome(resolve, *args):
@@ -327,8 +322,9 @@ def with_snapshots(m: MultipartiteGraph, changes: dict) -> MultipartiteGraph:
 def scrambled(m: MultipartiteGraph, seed: int) -> MultipartiteGraph:
     """m with random level-1 snapshots on about half its vertices of level >= 2.
 
-    The shared cliques then also come out empty (a sentinel) or without an
-    element they support (an error), which no clean run has shown.
+    The shared cliques then also come out empty or without an element they
+    support, both errors, which the creation lemma rules out for a clean
+    run.
     """
     rnd = random.Random(seed)
     ones = sorted(m.levels[1])
@@ -371,14 +367,24 @@ class TestResolver:
         g = random_graph(9, 0.7, 4)
         run = run_clean(g)
         fam = intersection_family(g)
-        got = []
+        got, unshared = [], []
         for seed in range(5):
             m = scrambled(run.final, seed)
             resolver = _Resolver(m, fam)
-            got += [outcome(resolver.sequence, x) for k in range(3, m.top + 1) for x in m.levels[k]]
+            snaps = m.snapshots
+            for k in range(3, m.top + 1):
+                for x in m.levels[k]:
+                    got.append(outcome(resolver.sequence, x))
+                    if any(
+                        not frozenset.intersection(*(snaps[y][1] for y in snaps[x][j]))
+                        for j in range(2, k)
+                    ):
+                        unshared.append(got[-1])
         assert any(isinstance(o, str) for o in got)
-        assert any(isinstance(o, tuple) and o[1] for o in got)
-        assert any(isinstance(o, tuple) and not o[1] for o in got)
+        assert any(isinstance(o, tuple) for o in got)
+        # level-j neighbours that share no clique resolve to no entry
+        assert unshared
+        assert all(isinstance(o, str) for o in unshared)
 
     def test_unclosed_clique_set_is_an_integrity_error(self, fix_chain):
         # the level-2 vertex of {a,b,c} claims cliques {a,b,c,d} and {a,b,f}:

@@ -169,8 +169,46 @@ def test_sequences_have_full_length_and_grow_strictly(g):
     for k in range(2, m.top + 1):
         for x in m.levels[k]:
             s = characterising_sequence(run, x, fam)
-            assert len(s.entries) == k - 1
-            assert all(a < b for a, b in zip(s.entries, s.entries[1:]))
+            assert len(s) == k - 1
+            assert all(a < b for a, b in zip(s, s[1:]))
+
+
+def creation_lemma_violations(m: MultipartiteGraph) -> list[tuple[int, int, int]]:
+    """Triples (x, j, y) with y in snap[x][j] whose level-1 snapshot misses one of x's."""
+    snaps = m.snapshots
+    return [
+        (x, j, y)
+        for k in range(3, m.top + 1)
+        for x in m.levels[k]
+        for j in range(2, k)
+        for y in snaps[x][j]
+        if not snaps[y][1] >= snaps[x][1]
+    ]
+
+
+small_gnp = st.builds(
+    random_graph,
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([0.2, 0.4, 0.6, 0.8]),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+@settings(max_examples=100, **COMMON)
+@given(small_gnp, st.integers(min_value=1, max_value=3), gnp, st.integers(min_value=1, max_value=4))
+def test_creation_lemma_on_every_stage(weak_g, weak_cap, g, factor_cap):
+    # the lemma of the lattice module: whatever the rule, a vertex's level-j
+    # neighbours carry at least its own cliques
+    runs = (run_weak(weak_g, cap=weak_cap), run_factor(g, cap=factor_cap), run_clean(g))
+    for run in runs:
+        for m in run.graphs:
+            assert creation_lemma_violations(m) == []
+    # a clean vertex of level >= 3 carries two or more cliques itself, so
+    # the cliques its neighbours share are never none
+    for m in runs[-1].graphs:
+        for k in range(3, m.top + 1):
+            for x in m.levels[k]:
+                assert len(m.snapshot(x, 1)) >= 2
 
 
 @settings(max_examples=60, **COMMON)
