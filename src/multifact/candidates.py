@@ -18,9 +18,12 @@ family kept by a step consists of the inclusion-maximal candidate sets
           intersection of two or more cliques (see ``lattice``).  Only
           defined once four levels exist.
 
-The fast enumeration walks closed vertex sets of the bipartite adjacency
-between the top level and everything below, via intersections of the
-per-lower-vertex neighbour masks.  Three reductions keep it sound:
+Every rule walks classes of top-level vertices, each over its own
+neighbourhood: weak and factor pass the whole top level as one class,
+clean its equivalence classes.  The walk enumerates closed vertex sets of
+the bipartite adjacency between a class and what it touches below, via
+intersections of the per-lower-vertex neighbour masks.  Three reductions
+keep it sound:
 
 1. maximal candidate sets correspond exactly to closed pairs: two
    distinct closed pairs never produce nested candidate sets, and every
@@ -60,19 +63,19 @@ class Candidate:
     __slots__ = ("upper", "full_set", "_u", "_l")
 
     def __init__(self, upper: Iterable[int], lower: Iterable[int]):
-        self._u = tuple(sorted(set(upper)))
-        self._l = tuple(sorted(set(lower)))
-        self.upper = frozenset(self._u)
-        self.full_set = self.upper.union(self._l)
+        self._fill(tuple(sorted(set(upper))), tuple(sorted(set(lower))))
 
     @classmethod
     def _from_sorted(cls, u: tuple[int, ...], l: tuple[int, ...]) -> "Candidate":
         c = object.__new__(cls)
-        c._u = u
-        c._l = l
-        c.upper = frozenset(u)
-        c.full_set = c.upper.union(l)
+        c._fill(u, l)
         return c
+
+    def _fill(self, u: tuple[int, ...], l: tuple[int, ...]) -> None:
+        self._u = u
+        self._l = l
+        self.upper = frozenset(u)
+        self.full_set = self.upper.union(l)
 
     @property
     def lower(self) -> frozenset[int]:
@@ -84,8 +87,6 @@ class Candidate:
         u, l = self._u, self._l
         if not u or not l or l[-1] < u[0]:
             merged = l + u
-        elif u[-1] < l[0]:
-            merged = u + l
         else:
             merged = tuple(sorted(self.full_set))
         return (-len(merged), merged)
@@ -102,19 +103,22 @@ class Candidate:
         return f"Candidate(upper={list(self._u)}, lower={list(self._l)})"
 
 
+def _check_target(mode: str, k: int) -> None:
+    """A ``mode`` family for level k needs k existing levels: two, or four if clean."""
+    if mode not in MODES:
+        raise ContractError(f"unknown mode {mode!r}")
+    need = 4 if mode == "clean" else 2
+    if k < need:
+        raise ContractError(f"{mode} candidates need at least {need} existing levels")
+
+
 class CandidateFamily:
     """The ordered family a factorising step will spend."""
 
     __slots__ = ("mode", "k", "members")
 
     def __init__(self, mode: str, k: int, members: Iterable[Candidate]):
-        if mode not in MODES:
-            raise ContractError(f"unknown mode {mode!r}")
-        if mode == "clean":
-            if k < 4:
-                raise ContractError("clean families need at least four existing levels")
-        elif k < 2:
-            raise ContractError("candidate families start at the second level")
+        _check_target(mode, k)
         self.mode = mode
         self.k = k
         self.members: tuple[Candidate, ...] = tuple(
@@ -203,8 +207,6 @@ def _concept_candidates(
     where both constraints are monotone, instead of closed upper parts, whose
     closure system can dwarf the surviving family on dense graphs.
     """
-    if len(uppers) < 2 or len(lowers) < 2:
-        return []
     adj = g._adj
     lpos = {w: j for j, w in enumerate(lowers)}
 
@@ -240,33 +242,34 @@ def _concept_candidates(
     return out
 
 
-def _lower_vertices(g: MultipartiteGraph) -> list[int]:
-    out: list[int] = []
-    for lv in g.levels[:-1]:
-        out.extend(lv)
-    out.sort()
-    return out
+def _family(
+    g: MultipartiteGraph,
+    mode: str,
+    classes: list[list[int]],
+    below: frozenset[int] | None,
+    cliques: frozenset[int] | None,
+) -> CandidateFamily:
+    """Walk each ascending class of two or more top vertices over its own
+    neighbourhood; a lower vertex no member touches lies in no intent."""
+    adj = g._adj
+    members: list[Candidate] = []
+    for cls in classes:
+        if len(cls) > 1:
+            seen = set().union(*[adj[x] for x in cls])
+            members.extend(_concept_candidates(g, cls, sorted(seen), below, cliques))
+    return CandidateFamily(mode, g.top + 1, members)
 
 
 def weak_candidates(g: MultipartiteGraph) -> CandidateFamily:
     """Maximal candidates with no mode constraint, for the next level."""
-    k = g.top + 1
-    if k < 2:
-        raise ContractError("need at least two levels before candidates exist")
-    uppers = sorted(g.levels[g.top])
-    members = _concept_candidates(g, uppers, _lower_vertices(g), None, None)
-    return CandidateFamily("weak", k, members)
+    _check_target("weak", g.top + 1)
+    return _family(g, "weak", [sorted(g.levels[g.top])], None, None)
 
 
 def factor_candidates(g: MultipartiteGraph) -> CandidateFamily:
     """Maximal candidates whose lower part meets the level below the top twice."""
-    k = g.top + 1
-    if k < 2:
-        raise ContractError("need at least two levels before candidates exist")
-    uppers = sorted(g.levels[g.top])
-    below = g.levels[g.top - 1]
-    members = _concept_candidates(g, uppers, _lower_vertices(g), below, None)
-    return CandidateFamily("factor", k, members)
+    _check_target("factor", g.top + 1)
+    return _family(g, "factor", [sorted(g.levels[g.top])], g.levels[g.top - 1], None)
 
 
 def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
@@ -289,29 +292,14 @@ def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
 
 def clean_candidates(g: MultipartiteGraph) -> CandidateFamily:
     """Factor candidates inside one equivalence class sharing two cliques."""
-    k = g.top + 1
-    if k < 4:
-        raise ContractError("clean candidates need at least four existing levels")
-    below = g.levels[g.top - 1]
-    cliques = g.levels[1]
-    adj = g._adj
-    members: list[Candidate] = []
-    for cls in _clean_classes(g):
-        if len(cls) < 2:
-            continue
-        seen = set().union(*[adj[x] for x in cls])
-        members.extend(_concept_candidates(g, cls, sorted(seen), below, cliques))
-    return CandidateFamily("clean", k, members)
+    _check_target("clean", g.top + 1)
+    return _family(g, "clean", _clean_classes(g), g.levels[g.top - 1], g.levels[1])
 
 
 def candidate_family(g: MultipartiteGraph, mode: str) -> CandidateFamily:
-    if mode == "weak":
-        return weak_candidates(g)
-    if mode == "factor":
-        return factor_candidates(g)
-    if mode == "clean":
-        return clean_candidates(g)
-    raise ContractError(f"unknown mode {mode!r}")
+    if mode not in MODES:
+        raise ContractError(f"unknown mode {mode!r}")
+    return {"weak": weak_candidates, "factor": factor_candidates, "clean": clean_candidates}[mode](g)
 
 
 def _is_valid_candidate(
@@ -348,15 +336,10 @@ def brute_force_candidates(g: MultipartiteGraph, mode: str) -> CandidateFamily:
     """
     from itertools import combinations
 
-    if mode not in MODES:
-        raise ContractError(f"unknown mode {mode!r}")
     k = g.top + 1
-    if mode == "clean" and k < 4:
-        raise ContractError("clean candidates need at least four existing levels")
-    if k < 2:
-        raise ContractError("need at least two levels before candidates exist")
+    _check_target(mode, k)
     uppers = sorted(g.levels[g.top])
-    lowers = frozenset(_lower_vertices(g))
+    lowers = frozenset().union(*g.levels[:-1])
     if len(uppers) > BRUTE_FORCE_LIMIT:
         raise ContractError("graph too large for brute-force candidate enumeration")
 

@@ -123,11 +123,11 @@ def intersection_family(g: Graph) -> IntersectionFamily:
         o: tuple(sorted((p for p in nontrivial if o < p), key=_canon_key))
         for o in nontrivial
     }
-    height = 0
-    tallest: dict[frozenset[int], int] = {}
-    for o in nontrivial:  # canonical order is by size, so subsets come first
-        tallest[o] = 1 + max((tallest[p] for p in nontrivial if p < o), default=0)
-        height = max(height, tallest[o])
+    # the longest chain up from each element; canonical order is by size,
+    # so in reverse every strict superset comes first
+    deepest: dict[frozenset[int], int] = {}
+    for o in reversed(nontrivial):
+        deepest[o] = 1 + max(map(deepest.__getitem__, supersets[o]), default=0)
 
     return IntersectionFamily(
         cliques=ks,
@@ -135,7 +135,7 @@ def intersection_family(g: Graph) -> IntersectionFamily:
         nontrivial=nontrivial,
         supports=supports,
         by_support=by_support,
-        height=height,
+        height=max(deepest.values(), default=0),
         _supersets=supersets,
     )
 
@@ -266,48 +266,46 @@ def verify_charseq_theorem(run: SeriesRun, fam: IntersectionFamily | None = None
     nontrivial = set(fam.nontrivial)
     top_needed = max(m.top, fam.height + 1)
     levels_report = []
-    all_ok = True
     for k in range(2, top_needed + 1):
         xs = sorted(m.levels[k]) if k <= m.top else []
-        seqs: dict[int, tuple[frozenset[int], ...]] = {}
-        chain_bad: list[dict] = []
-        member_bad: list[dict] = []
-        for x in xs:
-            entries = resolver.sequence(x)
-            seqs[x] = entries
-            if any(not a < b for a, b in zip(entries, entries[1:])):
-                if len(chain_bad) < _WITNESS_CAP:
-                    chain_bad.append(
-                        {"vertex": m.labels[x], "entries": [_labels_of(src, e) for e in entries]}
-                    )
-            for e in entries[1:]:
-                if e not in nontrivial and len(member_bad) < _WITNESS_CAP:
-                    member_bad.append({"vertex": m.labels[x], "entry": _labels_of(src, e)})
-        distinct = len(set(seqs.values())) == len(seqs)
+        seqs = {x: resolver.sequence(x) for x in xs}
+        chain_bad = [x for x, s in seqs.items() if any(not a < b for a, b in zip(s, s[1:]))]
+        member_bad = [(x, e) for x, s in seqs.items() for e in s[1:] if e not in nontrivial]
         expected = chains(fam, k - 1)
         realised = set(seqs.values())
-        missing: list[list] = []
+        missing = []
         for c in expected:
             if c not in realised:
-                missing.append([_labels_of(src, e) for e in c])
+                missing.append(c)
                 if len(missing) >= _WITNESS_CAP:
                     break
         entry = {
             "level": k,
             "vertices": len(xs),
             "chains": len(expected),
-            "strict_chains": {"pass": not chain_bad, "witnesses": chain_bad},
-            "membership": {"pass": not member_bad, "witnesses": member_bad},
-            "injective": {"pass": distinct},
-            "chains_realised": {"pass": not missing, "witnesses": missing},
+            "strict_chains": {
+                "pass": not chain_bad,
+                "witnesses": [
+                    {"vertex": m.labels[x], "entries": [_labels_of(src, e) for e in seqs[x]]}
+                    for x in chain_bad[:_WITNESS_CAP]
+                ],
+            },
+            "membership": {
+                "pass": not member_bad,
+                "witnesses": [
+                    {"vertex": m.labels[x], "entry": _labels_of(src, e)}
+                    for x, e in member_bad[:_WITNESS_CAP]
+                ],
+            },
+            "injective": {"pass": len(realised) == len(seqs)},
+            "chains_realised": {
+                "pass": not missing,
+                "witnesses": [[_labels_of(src, e) for e in c] for c in missing],
+            },
         }
-        entry["pass"] = all(
-            entry[key]["pass"]
-            for key in ("strict_chains", "membership", "injective", "chains_realised")
-        )
-        all_ok = all_ok and entry["pass"]
+        entry["pass"] = all(c["pass"] for c in entry.values() if isinstance(c, dict))
         levels_report.append(entry)
-    return {"pass": all_ok, "levels": levels_report}
+    return {"pass": all(lv["pass"] for lv in levels_report), "levels": levels_report}
 
 
 def verify_v2_bijection(run: SeriesRun, fam: IntersectionFamily | None = None) -> dict:
@@ -324,35 +322,27 @@ def verify_v2_bijection(run: SeriesRun, fam: IntersectionFamily | None = None) -
     xs = sorted(m.levels[2]) if m.top >= 2 else []
     to_clique = _level1_clique_map(m, fam) if xs else {}
     failures: list[str] = []
-    bad = 0
-
-    def flag(msg: str) -> None:
-        nonlocal bad
-        bad += 1
-        if len(failures) < _WITNESS_CAP:
-            failures.append(msg)
-
     images: dict[frozenset[int], int] = {}
     for x in xs:
         image = m.snapshot(x, 0)
         if image in images:
-            flag(f"{m.labels[x]} repeats the image of {m.labels[images[image]]}")
+            failures.append(f"{m.labels[x]} repeats the image of {m.labels[images[image]]}")
             continue
         images[image] = x
         if image not in fam.supports or len(image) < 2:
-            flag(f"{m.labels[x]} maps outside the nontrivial elements")
-            continue
-        carried = frozenset(to_clique[c] for c in m.snapshot(x, 1))
-        if carried != fam.supports[image]:
-            flag(f"{m.labels[x]} does not carry the supporting cliques of its image")
-    for o in fam.nontrivial:
-        if o not in images:
-            flag(f"element {{{', '.join(_labels_of(src, o))}}} has no level-2 vertex")
+            failures.append(f"{m.labels[x]} maps outside the nontrivial elements")
+        elif frozenset(to_clique[c] for c in m.snapshot(x, 1)) != fam.supports[image]:
+            failures.append(f"{m.labels[x]} does not carry the supporting cliques of its image")
+    failures.extend(
+        f"element {{{', '.join(_labels_of(src, o))}}} has no level-2 vertex"
+        for o in fam.nontrivial
+        if o not in images
+    )
     return {
-        "pass": not bad,
+        "pass": not failures,
         "level2": len(xs),
         "nontrivial": len(fam.nontrivial),
-        "failures": failures,
+        "failures": failures[:_WITNESS_CAP],
     }
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .candidates import CandidateFamily, clean_candidates, factor_candidates, weak_candidates
 from .cliques import clique_incidence
@@ -33,20 +33,19 @@ class RunStatus:
 
 @dataclass(frozen=True)
 class StepStats:
-    index: int  # 1-based attempted step; the step creates level index + 1
+    """One attempted step; its fields are the keys of its ``series_stats`` record."""
+
+    step: int  # 1-based attempted step; the step creates level step + 1
     rule: str  # candidate rule applied ("weak" | "factor" | "clean")
     effective: bool
     candidates: int
-    removed: int
-    added: int
-    level_sizes: tuple[int, ...]
-    edge_count: int
+    removed_edges: int
+    added_edges: int
+    level_sizes: list[int]
+    edges: int
+    elapsed_ms: float  # candidates_ms + factorise_ms
     candidates_ms: float  # building the candidate family
     factorise_ms: float  # spending it
-
-    @property
-    def elapsed_ms(self) -> float:
-        return self.candidates_ms + self.factorise_ms
 
 
 @dataclass
@@ -99,18 +98,20 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
         t1 = time.perf_counter()
         step = factorise(current, fam)
         t2 = time.perf_counter()
+        cand_ms, fact_ms = (t1 - t0) * 1000.0, (t2 - t1) * 1000.0
         stats.append(
             StepStats(
-                index=index,
+                step=index,
                 rule=rule,
                 effective=step.effective,
                 candidates=len(fam),
-                removed=step.removed_count,
-                added=step.added_count,
-                level_sizes=step.after.level_sizes(),
-                edge_count=step.after.edge_count,
-                candidates_ms=(t1 - t0) * 1000.0,
-                factorise_ms=(t2 - t1) * 1000.0,
+                removed_edges=step.removed_count,
+                added_edges=step.added_count,
+                level_sizes=list(step.after.level_sizes()),
+                edges=step.after.edge_count,
+                elapsed_ms=cand_ms + fact_ms,
+                candidates_ms=cand_ms,
+                factorise_ms=fact_ms,
             )
         )
         if not step.effective:
@@ -174,30 +175,11 @@ def roundtrip_report(run: SeriesRun) -> dict:
 
 
 def series_stats(run: SeriesRun) -> dict:
-    """JSON-ready per-step table plus final-stage figures."""
+    """JSON-ready run record: the status, each step's fields, final-stage figures."""
     return {
         "mode": run.mode,
-        "status": {
-            "kind": run.status.kind,
-            "rank": run.status.rank,
-            "cap": run.status.cap,
-        },
-        "steps": [
-            {
-                "step": s.index,
-                "rule": s.rule,
-                "effective": s.effective,
-                "candidates": s.candidates,
-                "removed_edges": s.removed,
-                "added_edges": s.added,
-                "level_sizes": list(s.level_sizes),
-                "edges": s.edge_count,
-                "elapsed_ms": s.elapsed_ms,
-                "candidates_ms": s.candidates_ms,
-                "factorise_ms": s.factorise_ms,
-            }
-            for s in run.stats
-        ],
+        "status": asdict(run.status),
+        "steps": [asdict(s) for s in run.stats],
         "final": {
             "level_sizes": list(run.final.level_sizes()),
             "vertices": run.final.vertex_count,

@@ -146,49 +146,30 @@ def project(g: MultipartiteGraph) -> MultipartiteGraph:
     new_top = g.levels[top - 1]
     adj = g._adj
 
-    # only the dropped vertices' neighbours can lose edges; everything else
-    # keeps its adjacency set by reference
+    # only the dropped vertices' neighbours change: each loses its dropped
+    # neighbours and regains, across every dropped vertex it shares, the
+    # members on the other side of the new top level
     adj2 = dict(adj)
     removed_deg = 0
-    touched: set[int] = set()
+    regained: defaultdict[int, set[int]] = defaultdict(set)
     for x in dropped:
         del adj2[x]
-        nbrs = adj[x]
-        removed_deg += len(nbrs)
-        touched.update(nbrs)
-    for v in touched:
-        adj2[v] = adj[v] - dropped
-
-    restore: dict[int, set[int]] = {}
-    for x in dropped:
         members = adj[x]
+        removed_deg += len(members)
         ups = members & new_top
-        if not ups:
-            continue
         lows = members - ups
-        if not lows:
-            continue
         for y in ups:
-            s = restore.get(y)
-            if s is None:
-                restore[y] = set(lows)
-            else:
-                s.update(lows)
+            regained[y] |= lows
         for z in lows:
-            s = restore.get(z)
-            if s is None:
-                restore[z] = set(ups)
-            else:
-                s.update(ups)
+            regained[z] |= ups
 
     delta = 0
-    for v, extra in restore.items():
-        old = adj2[v]
-        merged = old | extra
+    for v, extra in regained.items():
+        old = adj[v]
+        merged = old - dropped
+        merged |= extra
         delta += len(merged) - len(old)
         adj2[v] = merged
-    if delta % 2:
-        raise IntegrityError("restored pairs are not symmetric")
 
     labels2 = dict(g.labels)
     snaps2 = dict(g.snapshots)
@@ -200,5 +181,5 @@ def project(g: MultipartiteGraph) -> MultipartiteGraph:
         labels2,
         adj2,
         snaps2,
-        g.edge_count - removed_deg + delta // 2,
+        g.edge_count + (delta - removed_deg) // 2,
     )

@@ -33,9 +33,13 @@ def test_candidate_normalises_input():
     assert c.full_set == {1, 2, 3, 7}
 
 
-def test_family_contracts():
+def test_family_contracts(diamond):
     with pytest.raises(ContractError):
         CandidateFamily("bogus", 2, [])
+    b = clique_incidence(diamond)
+    for build in (candidate_family, brute_force_candidates):
+        with pytest.raises(ContractError, match="unknown mode 'bogus'"):
+            build(b, "bogus")
     with pytest.raises(ContractError):
         CandidateFamily("weak", 1, [])
     with pytest.raises(ContractError):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import runpy
 import subprocess
 import sys
 
@@ -258,6 +259,14 @@ class TestProject:
         capsys.readouterr()
         assert main(["project", str(mg), "--to-graph"]) == 1
 
+    def test_to_graph_needs_level0_ids_from_zero(self, tmp_path, capsys):
+        b = tmp_path / "b.mg"
+        b.write_text("mgraph 2\nv 0 1 a\nv 1 2 x\ne 1 2\n")
+        assert main(["project", str(b), "--to-graph"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: level 0 must occupy ids 0..n-1 to collapse\n"
+        assert captured.out == ""
+
     def test_malformed_multipartite_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.mg"
         bad.write_text("mgraph 2\nv 0 0 a\nv 0 0 b\n")
@@ -383,13 +392,19 @@ def test_stdout_is_byte_identical_across_runs(diamond_file):
         assert first.returncode == second.returncode
 
 
-def test_console_entry_point_help():
+def test_console_entry_point_help(capsys, monkeypatch):
     r = subprocess.run(
         [sys.executable, "-m", "multifact", "--help"], capture_output=True, text=True
     )
     assert r.returncode == 0
     for sub in ("decompose", "verify", "project", "stats"):
         assert sub in r.stdout
+    # the same entry point in this process
+    monkeypatch.setattr(sys, "argv", ["multifact", "--help"])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_module("multifact", run_name="__main__")
+    assert e.value.code == 0
+    assert capsys.readouterr().out == r.stdout
 
 
 def test_import_leaves_the_cli_alone():

@@ -180,6 +180,8 @@ class TestMultipartiteFormat:
             (lambda t: t.replace("e 0 4", "e  0 4"), None, "irregular whitespace"),
             (lambda t: t.replace("e 0 4", "e 0"), None, "expected: e"),
             (lambda t: t.replace("v 0 0 a", "v 0 0"), None, "expected: v"),
+            (lambda t: t + "s 4\n", None, "expected: s"),
+            (lambda t: "mgraph 1\n\n", 2, "blank line"),
         ],
     )
     def test_rejections_carry_line_numbers(self, mutate, line, fragment):

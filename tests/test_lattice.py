@@ -24,7 +24,7 @@ from multifact import (
     verify_v2_bijection,
 )
 from multifact.candidates import clean_candidates
-from multifact.lattice import _Resolver
+from multifact.lattice import _WITNESS_CAP, _Resolver
 from tests.conftest import DATA
 
 
@@ -207,6 +207,21 @@ class TestIndexedFamily:
         assert fam.by_support == table
         assert {o: set(fam.strict_supersets(o)) for o in fam.nontrivial} == supersets
         assert fam.height == height
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.builds(
+            random_graph,
+            st.integers(min_value=0, max_value=12),
+            st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+            st.integers(min_value=0, max_value=10**6),
+        )
+    )
+    def test_height_matches_the_tallest_fold(self, g):
+        # the height read off the superset table against the fold over
+        # every pair of nontrivial elements
+        assert intersection_family(g).height == old_family(g)[3]
 
 
 class TestChains:
@@ -487,6 +502,125 @@ class TestVerifyTheorem:
         a = verify_charseq_theorem(run_clean(fix_chain))
         b = verify_charseq_theorem(run_clean(fix_chain))
         assert a == b
+
+
+def fix_chain_final(fix_chain):
+    """The clean run of fix_chain, its family, final stage and label -> id map."""
+    run = run_clean(fix_chain)
+    m = run.final
+    return run, intersection_family(fix_chain), m, {lab: x for x, lab in m.labels.items()}
+
+
+def without(m: MultipartiteGraph, x: int) -> MultipartiteGraph:
+    """A copy of m without vertex x, which no snapshot may name."""
+    return MultipartiteGraph(
+        [lv - {x} for lv in m.levels],
+        {y: lab for y, lab in m.labels.items() if y != x},
+        [e for e in m.edges if x not in e],
+        {y: per for y, per in m.snapshots.items() if y != x},
+    )
+
+
+class TestFailureWitnesses:
+    """Clean fix_chain runs corrupted so that each verifier reports a witness.
+
+    In the run, L2#0 has image {a,b,c} and carries cliques L1#0 {a,b,c,d}
+    and L1#1 {a,b,c,e}; L2#1 has image {a,b}; L3#0 has sequence
+    ({a,b}, {a,b,c}).
+    """
+
+    def test_repeated_level2_image(self, fix_chain):
+        run, fam, m, ids = fix_chain_final(fix_chain)
+        # L2#0 takes both snapshots of L2#1, so only the repetition is wrong
+        bad = dataclasses.replace(
+            run, graphs=[with_snapshots(m, {ids["L2#0"]: m.snapshots[ids["L2#1"]]})]
+        )
+        assert verify_v2_bijection(bad, fam) == {
+            "pass": False,
+            "level2": 2,
+            "nontrivial": 2,
+            "failures": [
+                "L2#1 repeats the image of L2#0",
+                "element {a, b, c} has no level-2 vertex",
+            ],
+        }
+        level2 = verify_charseq_theorem(bad, fam)["levels"][0]
+        assert not level2["pass"] and not level2["injective"]["pass"]
+        assert level2["chains_realised"] == {"pass": False, "witnesses": [[["a", "b", "c"]]]}
+
+    def test_level2_image_outside_the_family(self, fix_chain):
+        run, fam, m, ids = fix_chain_final(fix_chain)
+        bad = dataclasses.replace(
+            run, graphs=[with_snapshots(m, {ids["L2#0"]: {0: {ids["a"], ids["d"]}}})]
+        )
+        rep = verify_v2_bijection(bad, fam)
+        assert not rep["pass"]
+        assert rep["failures"] == [
+            "L2#0 maps outside the nontrivial elements",
+            "element {a, b, c} has no level-2 vertex",
+        ]
+
+    def test_level1_snapshot_missing_a_clique(self, fix_chain):
+        # L2#0 keeps only L1#0, so L3#0's level-2 neighbours share that one
+        # clique: a lone-clique interior entry outside the nontrivial elements
+        run, fam, m, ids = fix_chain_final(fix_chain)
+        bad = dataclasses.replace(
+            run, graphs=[with_snapshots(m, {ids["L2#0"]: {1: {ids["L1#0"]}}})]
+        )
+        rep = verify_v2_bijection(bad, fam)
+        assert not rep["pass"]
+        assert rep["failures"] == ["L2#0 does not carry the supporting cliques of its image"]
+        charseq = verify_charseq_theorem(bad, fam)
+        assert not charseq["pass"]
+        level3 = charseq["levels"][1]
+        assert level3["strict_chains"] == {"pass": True, "witnesses": []}
+        assert level3["membership"] == {
+            "pass": False,
+            "witnesses": [{"vertex": "L3#0", "entry": ["a", "b", "c", "d"]}],
+        }
+        assert level3["chains_realised"] == {
+            "pass": False,
+            "witnesses": [[["a", "b"], ["a", "b", "c"]]],
+        }
+
+    def test_non_chain_sequence(self, fix_chain):
+        run, fam, m, ids = fix_chain_final(fix_chain)
+        bad = dataclasses.replace(
+            run, graphs=[with_snapshots(m, {ids["L3#0"]: {0: m.snapshot(ids["L2#0"], 0)}})]
+        )
+        rep = verify_charseq_theorem(bad, fam)
+        assert not rep["pass"]
+        level3 = rep["levels"][1]
+        assert level3["strict_chains"] == {
+            "pass": False,
+            "witnesses": [{"vertex": "L3#0", "entries": [["a", "b", "c"], ["a", "b", "c"]]}],
+        }
+        assert level3["membership"]["pass"] and level3["injective"]["pass"]
+
+    def test_dropped_level3_vertex(self, fix_chain):
+        run, fam, m, ids = fix_chain_final(fix_chain)
+        bad = dataclasses.replace(run, graphs=[without(m, ids["L3#0"])])
+        rep = verify_charseq_theorem(bad, fam)
+        assert not rep["pass"] and [lv["pass"] for lv in rep["levels"]] == [True, False]
+        level3 = rep["levels"][1]
+        assert level3["vertices"] == 0 and level3["chains"] == 1
+        assert level3["chains_realised"]["witnesses"] == [[["a", "b"], ["a", "b", "c"]]]
+
+    def test_witnesses_stop_at_the_cap(self):
+        # every level-2 vertex of a dense run takes one image, so every other
+        # nontrivial element lacks a vertex: more failures than the cap shows
+        g = random_graph(12, 0.7, 828131)
+        run = run_clean(g)
+        m = run.final
+        image = m.snapshot(min(m.levels[2]), 0)
+        bad = dataclasses.replace(
+            run, graphs=[with_snapshots(m, {x: {0: image} for x in m.levels[2]})]
+        )
+        fam = intersection_family(g)
+        rep = verify_v2_bijection(bad, fam)
+        assert not rep["pass"] and len(rep["failures"]) == _WITNESS_CAP
+        level2 = verify_charseq_theorem(bad, fam)["levels"][0]
+        assert len(level2["chains_realised"]["witnesses"]) == _WITNESS_CAP
 
 
 class TestV2Bijection:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from multifact import (
     ContractError,
     Graph,
+    MultipartiteGraph,
     apex_graph,
     clique_incidence,
     random_graph,
@@ -12,6 +15,7 @@ from multifact import (
     run_weak,
     series_stats,
 )
+from multifact import series
 
 
 def test_diamond_clean(diamond):
@@ -103,9 +107,34 @@ def test_low_memory_keeps_only_the_final_stage(fix_chain):
         roundtrip_report(lean)
 
 
+def test_unknown_mode_is_a_contract_error(diamond):
+    with pytest.raises(ContractError, match="unknown mode 'bogus'"):
+        series._run(diamond, "bogus", None, False)
+
+
 def test_roundtrip_report(fix_chain):
     rep = roundtrip_report(run_clean(fix_chain))
     assert rep == {"pass": True, "checked": 2, "failures": []}
+
+
+def test_roundtrip_report_names_a_stage_with_a_moved_edge(fix_chain):
+    run = run_clean(fix_chain)
+    stage = run.graphs[1]
+    # c's edge to the level-2 vertex of {a,b,c} moves to d
+    ids = {label: x for x, label in stage.labels.items()}
+    c, d = ids["c"], ids["d"]
+    (y,) = [y for y in stage.levels[2] if c in stage.neighbours(y)]
+    edges = (stage.edges - {(c, y)}) | {(d, y)}
+    moved = MultipartiteGraph(stage.levels, stage.labels, edges, stage.snapshots)
+    rep = roundtrip_report(dataclasses.replace(run, graphs=[run.graphs[0], moved, run.graphs[2]]))
+    assert rep == {
+        "pass": False,
+        "checked": 2,
+        "failures": [
+            "stage with top level 2 does not project back",
+            "stage with top level 3 does not project back",
+        ],
+    }
 
 
 def test_series_stats_shape(diamond):

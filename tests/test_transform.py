@@ -1,7 +1,10 @@
 import pytest
 
 from multifact import (
+    Candidate,
+    CandidateFamily,
     ContractError,
+    IntegrityError,
     MultipartiteGraph,
     clique_incidence,
     factor_candidates,
@@ -49,6 +52,23 @@ def test_family_level_mismatch_rejected(diamond):
     fam = weak_candidates(run.final)  # targets level 3
     with pytest.raises(ContractError):
         factorise(b, fam)
+
+
+@pytest.mark.parametrize(
+    "upper, lower, error, fragment",
+    [
+        ("b c", "a d", ContractError, "leaves the top level"),
+        ("L1#0 L1#1", "a d", IntegrityError, "removes edges absent"),
+    ],
+    ids=["upper-below-the-top", "absent-edge"],
+)
+def test_malformed_family_rejected(diamond, upper, lower, error, fragment):
+    # level 1 holds the cliques {a,b,c} and {b,c,d}; a and d lie in one each
+    b = clique_incidence(diamond)
+    ids = {label: x for x, label in b.labels.items()}
+    c = Candidate([ids[v] for v in upper.split()], [ids[v] for v in lower.split()])
+    with pytest.raises(error, match=fragment):
+        factorise(b, CandidateFamily("weak", 2, [c]))
 
 
 def test_level_discipline(diamond):
