@@ -215,10 +215,9 @@ def _concept_candidates(
     for i, x in enumerate(uppers):
         m = 0
         for w in adj[x]:
-            j = lpos.get(w)
-            if j is not None:
-                m |= 1 << j
-                attr[j] |= 1 << i
+            j = lpos[w]
+            m |= 1 << j
+            attr[j] |= 1 << i
         objects.append(m)
 
     masks = [(1 << len(lowers)) - 1] * 2

@@ -175,8 +175,6 @@ def cmd_project(args: argparse.Namespace) -> int:
     if args.to_graph:
         text = serialise_edge_list(collapse_bipartite(m))
     else:
-        if m.top < 2:
-            return _fail(f"projection needs at least 3 levels, got {m.top + 1}")
         text = serialise_multipartite(project(m))
     _emit(text, args.output)
     return EXIT_OK

@@ -80,7 +80,6 @@ def clique_incidence(g: Graph) -> MultipartiteGraph:
         labels,
         adj,
         {cid: {0: c} for cid, c in zip(ids, ks)},
-        sum(map(len, ks)),
     )
 
 

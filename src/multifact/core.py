@@ -5,9 +5,10 @@ across decomposition steps; each step only appends fresh ids for its new
 top level, so in pipeline-built graphs every level occupies a contiguous
 id block.  Decompositions of moderately dense graphs run to tens of
 thousands of vertices, so construction keeps adjacency as shared frozensets
-and only materialises the flat edge set on demand.  A ``Graph`` also keeps
-its maximal cliques once ``cliques.maximal_cliques`` has enumerated them, so
-every layer that reads them shares one enumeration.
+and nothing else: edge counts and flat edge sets are computed from the
+adjacency each time they are read.  A ``Graph`` also keeps its maximal
+cliques once ``cliques.maximal_cliques`` has enumerated them, so every
+layer that reads them shares one enumeration.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Finite simple undirected graph on dense integer vertices 0..n-1."""
 
-    __slots__ = ("labels", "_adj", "_edges", "_cliques")
+    __slots__ = ("labels", "_adj", "_cliques")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
         self.labels: tuple[str, ...] = tuple(labels)
@@ -58,7 +59,6 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
-        self._edges: frozenset[tuple[int, int]] | None = None
         # filled by cliques.maximal_cliques on first use
         self._cliques: tuple[frozenset[int], ...] | None = None
 
@@ -83,12 +83,8 @@ class Graph:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        """Flat canonical edge set; computed from adjacency on first use."""
-        if self._edges is None:
-            self._edges = frozenset(
-                (x, y) for x, nbrs in enumerate(self._adj) for y in nbrs if x < y
-            )
-        return self._edges
+        """Flat canonical edge set, computed from adjacency."""
+        return frozenset((x, y) for x, nbrs in enumerate(self._adj) for y in nbrs if x < y)
 
     def neighbours(self, x: int) -> frozenset[int]:
         if not (0 <= x < len(self.labels)):
@@ -117,7 +113,7 @@ class MultipartiteGraph:
     equal snapshots of a level, so code must not rely on their identity.
     """
 
-    __slots__ = ("levels", "labels", "snapshots", "_adj", "_level_of", "_edge_count", "_edges")
+    __slots__ = ("levels", "labels", "snapshots", "_adj", "_level_of")
 
     def __init__(
         self,
@@ -141,20 +137,15 @@ class MultipartiteGraph:
             raise ContractError("vertex labels must be unique")
 
         adj: dict[int, set[int]] = {x: set() for x in level_of}
-        count = 0
         for u, v in edges:
             if u not in level_of or v not in level_of:
                 raise ContractError(f"edge ({u}, {v}) references an unknown vertex")
             # a self-loop joins a vertex to its own level and fails here too
             if level_of[u] == level_of[v]:
                 raise ContractError(f"edge ({u}, {v}) joins two level-{level_of[u]} vertices")
-            if v not in adj[u]:
-                count += 1
-                adj[u].add(v)
-                adj[v].add(u)
+            adj[u].add(v)
+            adj[v].add(u)
         self._adj: dict[int, frozenset[int]] = {x: frozenset(s) for x, s in adj.items()}
-        self._edge_count = count
-        self._edges: frozenset[tuple[int, int]] | None = None
 
         snaps: dict[int, dict[int, frozenset[int]]] = {}
         for x, per_level in (snapshots or {}).items():
@@ -184,7 +175,6 @@ class MultipartiteGraph:
         labels: dict[int, str],
         adj: dict[int, frozenset[int]],
         snapshots: dict[int, dict[int, frozenset[int]]],
-        edge_count: int,
     ) -> "MultipartiteGraph":
         # trusted constructor for pipeline-internal callers; skips validation
         g = object.__new__(cls)
@@ -192,8 +182,6 @@ class MultipartiteGraph:
         g.labels = labels
         g._adj = adj
         g.snapshots = snapshots
-        g._edge_count = edge_count
-        g._edges = None
         level_of: dict[int, int] = {}
         for i, lv in enumerate(levels):
             for x in lv:
@@ -211,16 +199,12 @@ class MultipartiteGraph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return sum(map(len, self._adj.values())) // 2
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        """Flat canonical edge set; computed from adjacency on first use."""
-        if self._edges is None:
-            self._edges = frozenset(
-                (x, y) for x, nbrs in self._adj.items() for y in nbrs if x < y
-            )
-        return self._edges
+        """Flat canonical edge set, computed from adjacency."""
+        return frozenset((x, y) for x, nbrs in self._adj.items() for y in nbrs if x < y)
 
     def vertices(self) -> Iterator[int]:
         return iter(sorted(self._level_of))
@@ -254,5 +238,5 @@ class MultipartiteGraph:
         )
 
     def __repr__(self) -> str:
-        return f"MultipartiteGraph(levels={self.level_sizes()}, m={self._edge_count})"
+        return f"MultipartiteGraph(levels={self.level_sizes()}, m={self.edge_count})"
 

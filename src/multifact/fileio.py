@@ -52,16 +52,16 @@ def _int(no: int, token: str, what: str) -> int:
 def parse_edge_list(text: str) -> Graph:
     """Parse ``u v`` lines into a :class:`Graph`.
 
-    Blank lines and lines starting with '#' are skipped.  Labels are the
-    tokens themselves.  Self-loops and repeated edges (either orientation)
-    are rejected with their line number.  One pass reads the lines into
-    provisional ids, numbered by first appearance, which are then
-    renumbered in sorted label order.
+    Lines end at '\\n' only.  Blank lines and lines starting with '#' are
+    skipped.  Labels are the tokens themselves.  Self-loops and repeated
+    edges (either orientation) are rejected with their line number.  One
+    pass reads the lines into provisional ids, numbered by first
+    appearance, which are then renumbered in sorted label order.
     """
     ids: dict[str, int] = {}
     us, ws = [], []  # the edges' provisional end ids
     seen: dict[int, int] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
+    for no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -254,7 +254,7 @@ def _build(
     cuts = [0, *compress(range(1, n), map(ne, xs, xs[1:])), n] if n else [0]
     snaps = {xs[a]: dict(zip(js[a:b], sets[a:b])) for a, b in zip(cuts, cuts[1:])}
 
-    return MultipartiteGraph._assemble(levels, dict(zip(ids, names)), adj, snaps, len(us))
+    return MultipartiteGraph._assemble(levels, dict(zip(ids, names)), adj, snaps)
 
 
 def _parse_by_line(text: str) -> MultipartiteGraph:
@@ -277,8 +277,7 @@ def _parse_by_line(text: str) -> MultipartiteGraph:
     labels: dict[int, str] = {}
     label_line: dict[str, int] = {}
     level_of: dict[int, int] = {}
-    adj: dict[int, set[int]] = {}
-    edge_count = 0
+    edges: list[tuple[int, int]] = []
     snaps: dict[int, dict[int, frozenset[int]]] = {}
     section = 0
     last_vertex: int | None = None
@@ -318,7 +317,6 @@ def _parse_by_line(text: str) -> MultipartiteGraph:
             levels[lvl].add(x)
             labels[x] = lab
             level_of[x] = lvl
-            adj[x] = set()
 
         elif tag == "e":
             if len(parts) != 3:
@@ -337,9 +335,7 @@ def _parse_by_line(text: str) -> MultipartiteGraph:
             if last_edge is not None and (u, w) <= last_edge:
                 raise FormatError(no, "edges must be strictly increasing")
             last_edge = (u, w)
-            adj[u].add(w)
-            adj[w].add(u)
-            edge_count += 1
+            edges.append(last_edge)
 
         else:
             if len(parts) < 3:
@@ -369,10 +365,4 @@ def _parse_by_line(text: str) -> MultipartiteGraph:
                 members.add(y)
             snaps.setdefault(x, {})[j] = frozenset(members)
 
-    return MultipartiteGraph._assemble(
-        tuple(map(frozenset, levels)),
-        labels,
-        {x: frozenset(ys) for x, ys in adj.items()},
-        snaps,
-        edge_count,
-    )
+    return MultipartiteGraph(levels, labels, edges, snaps)

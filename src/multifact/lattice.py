@@ -25,7 +25,7 @@ is never 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .cliques import maximal_cliques
@@ -52,7 +52,6 @@ class IntersectionFamily:
     by_support: dict[int, frozenset[int]]
     height: int
     _supersets: dict[frozenset[int], tuple[frozenset[int], ...]]
-    _level1: tuple | None = field(default=None, repr=False)
 
     def strict_supersets(self, o: frozenset[int]) -> tuple[frozenset[int], ...]:
         return self._supersets[o]
@@ -140,28 +139,27 @@ def intersection_family(g: Graph) -> IntersectionFamily:
     )
 
 
+def _longer(fam: IntersectionFamily, shorter: list[tuple]) -> list[tuple]:
+    # each chain, in turn, extended by each strict superset of its top
+    return [c + (p,) for c in shorter for p in fam.strict_supersets(c[-1])]
+
+
 def chains(fam: IntersectionFamily, length: int) -> list[tuple[frozenset[int], ...]]:
-    """All strictly increasing tuples of nontrivial elements of a given length."""
+    """All strictly increasing tuples of nontrivial elements of a given length.
+
+    Ordered lexicographically by the entries' places in ``fam.nontrivial``,
+    the canonical order (by size, then sorted members).
+    """
     if length < 1:
         raise ContractError(f"chain length must be positive, got {length}")
-    out: list[tuple[frozenset[int], ...]] = []
-
-    def extend(chain: tuple[frozenset[int], ...]) -> None:
-        if len(chain) == length:
-            out.append(chain)
-            return
-        for p in fam.strict_supersets(chain[-1]):
-            extend(chain + (p,))
-
-    for o in fam.nontrivial:
-        extend((o,))
+    out = [(o,) for o in fam.nontrivial]
+    for _ in range(length - 1):
+        out = _longer(fam, out)
     return out
 
 
 def _level1_clique_map(m: MultipartiteGraph, fam: IntersectionFamily) -> dict[int, int]:
-    """Level-1 vertex -> index of its clique; kept on the family for m's next check."""
-    if fam._level1 is not None and fam._level1[0] is m:
-        return fam._level1[1]
+    """Level-1 vertex -> index of its clique."""
     index = {c: i for i, c in enumerate(fam.cliques)}
     owner: dict[int, int] = {}
     for y in sorted(m.levels[1]):
@@ -171,8 +169,7 @@ def _level1_clique_map(m: MultipartiteGraph, fam: IntersectionFamily) -> dict[in
         if i in owner:
             raise IntegrityError(f"level-1 vertices {owner[i]} and {y} carry the same clique")
         owner[i] = y
-    fam._level1 = (m, {y: i for i, y in owner.items()})
-    return fam._level1[1]
+    return {y: i for i, y in owner.items()}
 
 
 class _Resolver:
@@ -266,12 +263,14 @@ def verify_charseq_theorem(run: SeriesRun, fam: IntersectionFamily | None = None
     nontrivial = set(fam.nontrivial)
     top_needed = max(m.top, fam.height + 1)
     levels_report = []
+    expected = chains(fam, 1)
     for k in range(2, top_needed + 1):
+        if k > 2:
+            expected = _longer(fam, expected)  # the chains of length k-1
         xs = sorted(m.levels[k]) if k <= m.top else []
         seqs = {x: resolver.sequence(x) for x in xs}
         chain_bad = [x for x, s in seqs.items() if any(not a < b for a, b in zip(s, s[1:]))]
         member_bad = [(x, e) for x, s in seqs.items() for e in s[1:] if e not in nontrivial]
-        expected = chains(fam, k - 1)
         realised = set(seqs.values())
         missing = []
         for c in expected:

@@ -70,15 +70,13 @@ class SeriesRun:
 
 def _rule_for(mode: str, k: int):
     if mode == "weak":
-        return "weak", weak_candidates
-    if mode == "factor":
-        return "factor", factor_candidates
+        return weak_candidates
+    # levels 2 and 3 of a clean run are built with the factor rule; the
+    # clean rule needs four levels to speak about
+    if mode == "factor" or (mode == "clean" and k <= 3):
+        return factor_candidates
     if mode == "clean":
-        # levels 2 and 3 are built with the factor rule; the clean rule
-        # needs four levels to speak about
-        if k <= 3:
-            return "factor", factor_candidates
-        return "clean", clean_candidates
+        return clean_candidates
     raise ContractError(f"unknown mode {mode!r}")
 
 
@@ -91,8 +89,7 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
     index = 0
     while True:
         index += 1
-        k = current.top + 1
-        rule, pick = _rule_for(mode, k)
+        pick = _rule_for(mode, current.top + 1)
         t0 = time.perf_counter()
         fam: CandidateFamily = pick(current)
         t1 = time.perf_counter()
@@ -102,7 +99,7 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
         stats.append(
             StepStats(
                 step=index,
-                rule=rule,
+                rule=fam.mode,
                 effective=step.effective,
                 candidates=len(fam),
                 removed_edges=step.removed_count,

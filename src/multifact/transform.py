@@ -33,7 +33,10 @@ class FactorStep:
     after: MultipartiteGraph
     new_vertices: dict[int, Candidate]
     removed_count: int
-    added_count: int
+
+    @property
+    def added_count(self) -> int:
+        return sum(len(c.full_set) for c in self.family.members)
 
     @property
     def effective(self) -> bool:
@@ -73,7 +76,7 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
             f"family targets level {family.k} but the graph tops out at level {top}"
         )
     if not family.members:
-        return FactorStep(family, g, {}, 0, 0)
+        return FactorStep(family, g, {}, 0)
 
     level_of = g._level_of
     base = max(level_of) + 1
@@ -89,7 +92,6 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
     shared = _Interned()
     # the new vertices each old vertex joins
     joins: defaultdict[int, list[int]] = defaultdict(list)
-    added_count = 0
 
     for i, c in enumerate(family.members):
         x = base + i
@@ -98,7 +100,6 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
         new_vertices[x] = c
         adj2[x] = c.full_set
         labels[x] = f"L{family.k}#{i}"
-        added_count += len(c.full_set)
         # a top-level member of a malformed lower part lands in the last
         # bucket and is reported by the edge check below
         below: list[list[int]] = [[] for _ in range(top + 1)]
@@ -124,10 +125,8 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
         adj2[v] = (old - cut).union(xs)
 
     levels2 = g.levels + (frozenset(range(base, base + len(family.members))),)
-    after = MultipartiteGraph._assemble(
-        levels2, labels, adj2, snaps, g.edge_count - removed_count + added_count
-    )
-    return FactorStep(family, after, new_vertices, removed_count, added_count)
+    after = MultipartiteGraph._assemble(levels2, labels, adj2, snaps)
+    return FactorStep(family, after, new_vertices, removed_count)
 
 
 def project(g: MultipartiteGraph) -> MultipartiteGraph:
@@ -141,7 +140,7 @@ def project(g: MultipartiteGraph) -> MultipartiteGraph:
     """
     top = g.top
     if top < 2:
-        raise ContractError("projection needs at least three levels")
+        raise ContractError(f"projection needs at least 3 levels, got {top + 1}")
     dropped = g.levels[top]
     new_top = g.levels[top - 1]
     adj = g._adj
@@ -150,12 +149,10 @@ def project(g: MultipartiteGraph) -> MultipartiteGraph:
     # neighbours and regains, across every dropped vertex it shares, the
     # members on the other side of the new top level
     adj2 = dict(adj)
-    removed_deg = 0
     regained: defaultdict[int, set[int]] = defaultdict(set)
     for x in dropped:
         del adj2[x]
         members = adj[x]
-        removed_deg += len(members)
         ups = members & new_top
         lows = members - ups
         for y in ups:
@@ -163,23 +160,12 @@ def project(g: MultipartiteGraph) -> MultipartiteGraph:
         for z in lows:
             regained[z] |= ups
 
-    delta = 0
     for v, extra in regained.items():
-        old = adj[v]
-        merged = old - dropped
-        merged |= extra
-        delta += len(merged) - len(old)
-        adj2[v] = merged
+        adj2[v] = (adj[v] - dropped) | extra
 
     labels2 = dict(g.labels)
     snaps2 = dict(g.snapshots)
     for x in dropped:
         del labels2[x]
         snaps2.pop(x, None)
-    return MultipartiteGraph._assemble(
-        g.levels[:top],
-        labels2,
-        adj2,
-        snaps2,
-        g.edge_count + (delta - removed_deg) // 2,
-    )
+    return MultipartiteGraph._assemble(g.levels[:top], labels2, adj2, snaps2)

@@ -63,6 +63,9 @@ class TestEdgeList:
             ("a b\nb a\n", 2, "repeats line 1"),
             ("a b\n\na b\n", 3, "repeats line 1"),
             ("a #b\n", 1, "'#'"),
+            # only '\n' ends a line: '\f' and U+2028 are whitespace inside one
+            ("a b\fc d\n", 1, "two vertex labels"),
+            ("a b\n\u2028a b\n", 2, "repeats line 1"),
         ],
     )
     def test_malformed_lines_carry_line_numbers(self, text, line, fragment):
@@ -317,6 +320,7 @@ def test_bulk_parser_agrees_with_line_by_line_reading(base, mutations):
             _parse_by_line(text)
         assert str(again.value) == str(e)
         return
+    # the line-by-line path builds through the validating constructor
     assert g == _parse_by_line(text)
     assert serialise_multipartite(g) == text
 

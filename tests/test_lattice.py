@@ -49,6 +49,23 @@ def brute_chains(fam, length: int) -> set[tuple[frozenset[int], ...]]:
     return out
 
 
+def dfs_chains(fam, length: int) -> list[tuple[frozenset[int], ...]]:
+    """The chains as the recursive enumeration listed them before ``chains``
+    grew them level by level; kept as the reference for their order."""
+    out: list[tuple[frozenset[int], ...]] = []
+
+    def extend(chain: tuple[frozenset[int], ...]) -> None:
+        if len(chain) == length:
+            out.append(chain)
+            return
+        for p in fam.strict_supersets(chain[-1]):
+            extend(chain + (p,))
+
+    for o in fam.nontrivial:
+        extend((o,))
+    return out
+
+
 class TestIntersectionFamily:
     def test_diamond(self, diamond):
         fam = intersection_family(diamond)
@@ -241,6 +258,9 @@ class TestChains:
         fam = intersection_family(random_graph(9, 0.55, seed))
         for length in (1, 2, 3):
             assert set(chains(fam, length)) == brute_chains(fam, length)
+        # the order too: the verify report lists missing chains in it
+        for length in range(1, fam.height + 2):
+            assert chains(fam, length) == dfs_chains(fam, length)
 
     @pytest.mark.parametrize("seed", [920, 921])
     def test_height_is_the_longest_chain(self, seed):
@@ -426,15 +446,6 @@ class TestResolver:
         for check in (verify_charseq_theorem, verify_v2_bijection):
             with pytest.raises(IntegrityError, match=f"{a} and {b} carry the same clique"):
                 check(bad_run, intersection_family(fix_chain))
-
-    def test_level1_map_is_built_once_per_graph(self, fix_chain):
-        run = run_clean(fix_chain)
-        fam = intersection_family(fix_chain)
-        verify_charseq_theorem(run, fam)
-        kept = fam._level1
-        assert kept[0] is run.final
-        verify_v2_bijection(run, fam)
-        assert fam._level1 is kept
 
 
 class TestVerifyTheorem:

@@ -86,6 +86,24 @@ def test_projection_inverts_weak_steps_too(g, cap):
         assert project(after) == before
 
 
+@settings(max_examples=30, **COMMON)
+@given(gnp, st.integers(min_value=1, max_value=3))
+def test_step_records_match_the_stages_they_join(g, cap):
+    # every figure of a step record, recounted from the two stages it joins
+    for run in (run_weak(g, cap=cap), run_factor(g, cap=cap), run_clean(g)):
+        for s, before, after in zip(run.stats, run.graphs, run.graphs[1:]):
+            assert s.edges == len(after.edges)
+            assert s.removed_edges == len(before.edges - after.edges)
+            assert s.added_edges == len(after.edges - before.edges)
+            assert s.level_sizes == list(after.level_sizes())
+            k = s.step + 1  # the level the step creates
+            assert s.rule == ("factor" if run.mode == "clean" and k <= 3 else run.mode)
+        if run.status.terminated:
+            last = run.stats[-1]
+            assert (last.removed_edges, last.added_edges) == (0, 0)
+            assert last.edges == len(run.final.edges)
+
+
 @settings(max_examples=80, **COMMON)
 @given(gnp)
 def test_clean_series_terminates_within_the_vertex_count(g):
