@@ -9,30 +9,36 @@ family kept by a step consists of the inclusion-maximal candidate sets
 * weak    no extra constraint;
 * factor  the lower part must meet the level directly below the top in
           at least two vertices;
-* clean   factor constraint, plus the upper part must stay inside one
-          equivalence class of top-level vertices sharing the same
-          neighbourhood at level 0 and at every level from 2 up to two
-          below the top, and the lower part must meet level 1 in at least
-          two vertices: the upper vertices share two or more maximal
-          cliques, so the new vertex's top sequence entry is an
-          intersection of two or more cliques (see ``lattice``).  Only
-          defined once four levels exist.
+* clean   factor constraint, plus the lower part must meet level 1 and
+          level 0 in at least two vertices each: the upper vertices share
+          two or more maximal cliques, so the new vertex's top sequence
+          entry is an intersection of two or more cliques, and its first
+          entry is nontrivial too (see ``lattice``).  From the fourth level
+          up the upper part must also stay inside one equivalence class of
+          top-level vertices sharing the same neighbourhood at level 0 and
+          at every level from 2 up to two below the top.  Defined once
+          three levels exist: a clean run builds level 2 by the factor rule
+          and every later level by this one, so each level of the result
+          is in bijection with the chains of its length.  This departs
+          from building levels 2 and 3 by the factor rule with no level-0
+          condition, which built surplus vertices whose first sequence
+          entry is trivial.
 
 Every rule walks classes of top-level vertices, each over its own
 neighbourhood: weak and factor pass the whole top level as one class,
-clean its equivalence classes.  The walk enumerates closed vertex sets of
-the bipartite adjacency between a class and what it touches below, via
-intersections of the per-lower-vertex neighbour masks.  Three reductions
-keep it sound:
+clean its equivalence classes (at level 3 the whole top level).  The walk
+enumerates closed vertex sets of the bipartite adjacency between a class
+and what it touches below, via intersections of the per-lower-vertex
+neighbour masks.  Three reductions keep it sound:
 
 1. maximal candidate sets correspond exactly to closed pairs: two
    distinct closed pairs never produce nested candidate sets, and every
    non-closed candidate is contained in its closure;
-2. the factor constraint and the clean two-clique constraint commute
-   with taking maximal elements, because both are monotone in the lower
-   part and comparable weak candidates share the same lower part; being
-   monotone, both are pruned inside the walk, and no candidate is built
-   to be thrown away;
+2. the factor constraint and the clean level-1 and level-0 constraints
+   commute with taking maximal elements, because all are monotone in the
+   lower part and comparable weak candidates share the same lower part;
+   being monotone, all are pruned inside the walk, and no candidate is
+   built to be thrown away;
 3. for clean mode, candidates from distinct equivalence classes are
    never comparable, so classes can be enumerated independently.
 
@@ -104,10 +110,10 @@ class Candidate:
 
 
 def _check_target(mode: str, k: int) -> None:
-    """A ``mode`` family for level k needs k existing levels: two, or four if clean."""
+    """A ``mode`` family for level k needs k existing levels: two, or three if clean."""
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
-    need = 4 if mode == "clean" else 2
+    need = 3 if mode == "clean" else 2
     if k < need:
         raise ContractError(f"{mode} candidates need at least {need} existing levels")
 
@@ -142,16 +148,18 @@ class CandidateFamily:
         return f"CandidateFamily(mode={self.mode!r}, k={self.k}, size={len(self.members)})"
 
 
-def _closed_intents(objects: Iterable[int], keep: int, meet: int) -> set[int]:
+def _closed_intents(
+    objects: Iterable[int], keep: int = -1, meet: int = -1, also: int = -1
+) -> set[int]:
     """Intersections of two or more of the listed objects, pruned.
 
     Equal objects count as two, so an object's own intent is kept exactly
     when a second object contains it.  Only intents with at least two bits
-    inside the mask ``keep`` and at least two inside the mask ``meet`` are
-    kept.  The prune is exhaustive-safe because intersections only shrink
-    and both conditions are monotone: every prefix of a surviving intent is
-    a superset of it and so survives too, and an object that fails can
-    never join a survivor.
+    inside every mask given, ``keep``, ``meet`` and ``also``, are kept; -1
+    waives a mask.  The prune is exhaustive-safe because intersections only
+    shrink and every condition is monotone: every prefix of a surviving
+    intent is a superset of it and so survives too, and an object that
+    fails can never join a survivor.
 
     Each arriving object meets what is filed: the earlier objects and the
     kept intents.  Past ``_SCAN_LIMIT`` filed masks it meets only those
@@ -164,7 +172,7 @@ def _closed_intents(objects: Iterable[int], keep: int, meet: int) -> set[int]:
     by_bit: dict[int, set[int]] | None = None
     for om in objects:
         kept = om & keep
-        if kept.bit_count() < 2 or (om & meet).bit_count() < 2:
+        if kept.bit_count() < 2 or (om & meet).bit_count() < 2 or (om & also).bit_count() < 2:
             continue
         if by_bit is None:
             near = filed
@@ -172,7 +180,13 @@ def _closed_intents(objects: Iterable[int], keep: int, meet: int) -> set[int]:
             near = set().union(*[by_bit.get(b, ()) for b in bit_indices(kept)])
         cuts = {f & om for f in near}
         cuts -= intents
-        fresh = [c for c in cuts if (c & keep).bit_count() >= 2 and (c & meet).bit_count() >= 2]
+        fresh = [
+            c
+            for c in cuts
+            if (c & keep).bit_count() >= 2
+            and (c & meet).bit_count() >= 2
+            and (c & also).bit_count() >= 2
+        ]
         intents.update(fresh)
         if om not in filed:
             fresh.append(om)
@@ -192,20 +206,15 @@ def _closed_intents(objects: Iterable[int], keep: int, meet: int) -> set[int]:
 
 
 def _concept_candidates(
-    g: MultipartiteGraph,
-    uppers: list[int],
-    lowers: list[int],
-    below_top: frozenset[int] | None,
-    cliques: frozenset[int] | None,
+    g: MultipartiteGraph, uppers: list[int], lowers: list[int], within: tuple[frozenset[int], ...]
 ) -> list[Candidate]:
     """Closed pairs over the given top-level/lower vertex lists.
 
-    Only pairs whose lower part meets ``below_top``, the level directly
-    below the top, twice (the factor constraint) and ``cliques``, level 1,
-    twice (the clean two-clique constraint) survive; None waives either.
-    Both lists must be ascending.  The walk enumerates closed lower parts,
-    where both constraints are monotone, instead of closed upper parts, whose
-    closure system can dwarf the surviving family on dense graphs.
+    Only pairs whose lower part meets every level in ``within`` twice
+    survive; the first keys the walk's index.  Both lists must be
+    ascending.  The walk enumerates closed lower parts, where these
+    constraints are monotone, instead of closed upper parts, whose closure
+    system can dwarf the surviving family on dense graphs.
     """
     adj = g._adj
     lpos = {w: j for j, w in enumerate(lowers)}
@@ -220,11 +229,7 @@ def _concept_candidates(
             attr[j] |= 1 << i
         objects.append(m)
 
-    masks = [(1 << len(lowers)) - 1] * 2
-    for i, within in enumerate((below_top, cliques)):
-        if within is not None:
-            masks[i] = sum(1 << j for j, w in enumerate(lowers) if w in within)
-
+    masks = [sum(1 << j for j, w in enumerate(lowers) if w in lv) for lv in within]
     out: list[Candidate] = []
     # every kept intent lies in two or more objects, so its extent has two
     for intent in _closed_intents(objects, *masks):
@@ -242,11 +247,7 @@ def _concept_candidates(
 
 
 def _family(
-    g: MultipartiteGraph,
-    mode: str,
-    classes: list[list[int]],
-    below: frozenset[int] | None,
-    cliques: frozenset[int] | None,
+    g: MultipartiteGraph, mode: str, classes: list[list[int]], *within: frozenset[int]
 ) -> CandidateFamily:
     """Walk each ascending class of two or more top vertices over its own
     neighbourhood; a lower vertex no member touches lies in no intent."""
@@ -255,20 +256,20 @@ def _family(
     for cls in classes:
         if len(cls) > 1:
             seen = set().union(*[adj[x] for x in cls])
-            members.extend(_concept_candidates(g, cls, sorted(seen), below, cliques))
+            members.extend(_concept_candidates(g, cls, sorted(seen), within))
     return CandidateFamily(mode, g.top + 1, members)
 
 
 def weak_candidates(g: MultipartiteGraph) -> CandidateFamily:
     """Maximal candidates with no mode constraint, for the next level."""
     _check_target("weak", g.top + 1)
-    return _family(g, "weak", [sorted(g.levels[g.top])], None, None)
+    return _family(g, "weak", [sorted(g.levels[g.top])])
 
 
 def factor_candidates(g: MultipartiteGraph) -> CandidateFamily:
     """Maximal candidates whose lower part meets the level below the top twice."""
     _check_target("factor", g.top + 1)
-    return _family(g, "factor", [sorted(g.levels[g.top])], g.levels[g.top - 1], None)
+    return _family(g, "factor", [sorted(g.levels[g.top])], g.levels[g.top - 1])
 
 
 def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
@@ -290,9 +291,17 @@ def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
 
 
 def clean_candidates(g: MultipartiteGraph) -> CandidateFamily:
-    """Factor candidates inside one equivalence class sharing two cliques."""
-    _check_target("clean", g.top + 1)
-    return _family(g, "clean", _clean_classes(g), g.levels[g.top - 1], g.levels[1])
+    """Factor candidates meeting levels 1 and 0 twice, one class at a time.
+
+    At level 3 the whole top level is one class: grouped by their level-0
+    neighbourhoods, the level-2 vertices would each be alone.
+    """
+    top = g.top
+    _check_target("clean", top + 1)
+    classes = _clean_classes(g) if top >= 3 else [sorted(g.levels[top])]
+    # the level below the top first, as it keys the index; at level 3 it is level 1
+    within = [g.levels[p] for p in sorted({top - 1, 1, 0}, reverse=True)]
+    return _family(g, "clean", classes, *within)
 
 
 def candidate_family(g: MultipartiteGraph, mode: str) -> CandidateFamily:
@@ -313,8 +322,10 @@ def _is_valid_candidate(
     if mode in ("factor", "clean") and len(lower & g.levels[top - 1]) < 2:
         return False
     if mode == "clean":
-        if len(lower & g.levels[1]) < 2:
+        if len(lower & g.levels[1]) < 2 or len(lower & g.levels[0]) < 2:
             return False
+        if top < 3:
+            return True  # level 3 is built from the whole top level
         ps = (0, *range(2, top - 1))
         keys = {
             tuple(g.level_neighbours(x, p) for p in ps)

@@ -17,9 +17,8 @@ x's candidate, adjacent before the step to all of its lower part L, so
 u was adjacent to y and to ``L & level 1``, so y is in ``snap[u][j]`` and
 ``snap[x][1] <= snap[u][1]``; induction on u at level k-1 gives
 ``snap[y][1] >= snap[u][1]``.  In a clean run ``snap[x][1]`` holds at least
-two cliques (the factor rule at k = 3, the two-clique rule from k = 4 on),
-so the cliques x's level-j neighbours share include x's own: their mask
-is never 0.
+two cliques (the clean rule's level-1 condition, from k = 3 on), so the
+cliques x's level-j neighbours share include x's own: the mask is never 0.
 """
 
 from __future__ import annotations
@@ -245,13 +244,16 @@ def _labels_of(g: Graph, s: Iterable[int]) -> list[str]:
 def verify_charseq_theorem(run: SeriesRun, fam: IntersectionFamily | None = None) -> dict:
     """Check the three sequence properties on every level of a clean run.
 
-    Per level k >= 2: (1) each sequence is a strict chain whose entries
-    after the first (its interior members and its top entry) are
-    nontrivial elements;
+    Per level k >= 2: (1) each sequence is a strict chain whose entries,
+    the first one included, are nontrivial elements;
     (2) sequences are injective within the level; (3) every strict chain of
     nontrivial elements of length k-1 is realised by some level-k vertex.
-    Property 3 is also checked for levels the decomposition never built,
-    where any chain of the matching length is a failure.
+    Together they make each level a bijection onto the chains of its
+    length: the clean rule meets level 0 twice from level 3 on, so no
+    sequence starts with the empty set or a single vertex (the factor rule
+    at level 3 let such surplus vertices through).  Property 3 is also
+    checked for levels the decomposition never built, where any chain of
+    the matching length is a failure.
     """
     if run.mode != "clean":
         raise ContractError("the sequence properties are stated for clean runs")
@@ -270,7 +272,7 @@ def verify_charseq_theorem(run: SeriesRun, fam: IntersectionFamily | None = None
         xs = sorted(m.levels[k]) if k <= m.top else []
         seqs = {x: resolver.sequence(x) for x in xs}
         chain_bad = [x for x, s in seqs.items() if any(not a < b for a, b in zip(s, s[1:]))]
-        member_bad = [(x, e) for x, s in seqs.items() for e in s[1:] if e not in nontrivial]
+        member_bad = [(x, e) for x, s in seqs.items() for e in s if e not in nontrivial]
         realised = set(seqs.values())
         missing = []
         for c in expected:

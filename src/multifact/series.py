@@ -71,9 +71,9 @@ class SeriesRun:
 def _rule_for(mode: str, k: int):
     if mode == "weak":
         return weak_candidates
-    # levels 2 and 3 of a clean run are built with the factor rule; the
-    # clean rule needs four levels to speak about
-    if mode == "factor" or (mode == "clean" and k <= 3):
+    # level 2 of a clean run is built with the factor rule; the clean rule
+    # needs three levels to speak about
+    if mode == "factor" or (mode == "clean" and k < 3):
         return factor_candidates
     if mode == "clean":
         return clean_candidates
@@ -141,9 +141,12 @@ def run_factor(g: Graph, cap: int = DEFAULT_CAP, low_memory: bool = False) -> Se
 def run_clean(g: Graph, low_memory: bool = False) -> SeriesRun:
     """Run the clean series to termination.
 
-    Levels 2 and 3 are produced by the factor rule, later levels by the
-    clean rule.  The run must terminate with rank at most the vertex count
-    (at least 1 for the empty graph); anything else is a pipeline bug.
+    Level 2 is produced by the factor rule, every later level by the clean
+    rule (not levels 2 and 3 by the factor rule: see ``candidates``), so
+    level k is in bijection with the chains of length k-1 that
+    ``lattice.verify_charseq_theorem`` checks.  The run must terminate
+    with rank at most the vertex count (at least 1 for the empty graph);
+    anything else is a pipeline bug.
     """
     run = _run(g, "clean", None, low_memory)
     bound = max(g.vertex_count, 1)

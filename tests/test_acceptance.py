@@ -294,8 +294,8 @@ def test_criterion_7_oracle_equivalence():
             for _ in range(12):
                 k = m.top + 1
                 rule = mode
-                if mode == "clean" and k < 4:
-                    rule = "factor"  # the clean series applies the factor rule here
+                if mode == "clean" and k < 3:
+                    rule = "factor"  # the clean series builds level 2 by the factor rule
                 if len(m.levels[m.top]) > 13:
                     truncated += 1  # top outgrew the brute oracle's practical range
                     break

@@ -43,8 +43,9 @@ def test_family_contracts(diamond):
     with pytest.raises(ContractError):
         CandidateFamily("weak", 1, [])
     with pytest.raises(ContractError):
-        CandidateFamily("clean", 3, [])
+        CandidateFamily("clean", 2, [])
     assert not CandidateFamily("weak", 2, []).effective
+    assert not CandidateFamily("clean", 3, []).effective
 
 
 def test_diamond_incidence_single_candidate(diamond):
@@ -65,12 +66,17 @@ def test_singleton_top_level_gives_nothing(diamond):
     assert not factor_candidates(final).effective
 
 
-def test_clean_needs_four_levels(diamond):
+def test_clean_needs_three_levels(diamond, fix_chain):
     b = clique_incidence(diamond)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="at least 3 existing levels"):
         clean_candidates(b)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="at least 3 existing levels"):
         brute_force_candidates(b, "clean")
+    three = run_clean(fix_chain).graphs[1]
+    assert three.top == 2
+    fam = clean_candidates(three)
+    assert fam.effective
+    assert pairs(fam) == pairs(brute_force_candidates(three, "clean"))
 
 
 def test_tripartite_in_weak_but_not_factor():
@@ -116,7 +122,7 @@ def _stages(seed: int):
         ("clean", run_clean(g)),
     ):
         for m in run.graphs:
-            if mode == "clean" and m.top + 1 < 4:
+            if mode == "clean" and m.top + 1 < 3:
                 continue
             if len(m.levels[m.top]) <= BRUTE_FORCE_LIMIT:
                 yield m, mode
@@ -150,7 +156,7 @@ def test_family_invariants(seed):
             pool = {
                 x for x in m.levels[top] if c.lower <= m.neighbours(x)
             }
-            if mode == "clean":
+            if mode == "clean" and top >= 3:  # level 3 is one class
                 ps = (0, *range(2, top - 1))
                 key = tuple(m.level_neighbours(next(iter(c.upper)), p) for p in ps)
                 pool = {
@@ -265,3 +271,23 @@ def test_closed_intents_index_is_exercised():
     got = _closed_intents(objects, keep_mask, meet_mask)
     assert len(got) > candidates._SCAN_LIMIT
     assert got == _all_pairs_closure(objects, keep_mask, meet_mask)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(CONTEXTS, st.integers(0, (1 << 40) - 1))
+def test_a_third_mask_prunes_like_a_filter_after_the_walk(context, also):
+    # the clean walk prunes by three levels; the third condition is
+    # monotone too, so pruning by it equals filtering the finished closure
+    objects, keep_mask, meet_mask = context
+    want = {
+        c
+        for c in _all_pairs_closure(objects, keep_mask, meet_mask)
+        if (c & also).bit_count() >= 2
+    }
+    saved = candidates._SCAN_LIMIT
+    try:
+        for limit in (sys.maxsize, 0, saved):
+            candidates._SCAN_LIMIT = limit
+            assert _closed_intents(objects, keep_mask, meet_mask, also) == want
+    finally:
+        candidates._SCAN_LIMIT = saved

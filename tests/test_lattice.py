@@ -488,6 +488,9 @@ class TestVerifyTheorem:
             assert lv["membership"]["pass"]
             assert lv["injective"]["pass"]
             assert lv["chains_realised"]["pass"]
+            # each level is a bijection onto its chains: no surplus vertex
+            assert lv["vertices"] == lv["chains"]
+        assert [lv["vertices"] for lv in rep["levels"]] == [56, 168, 112, 2]
         assert verify_v2_bijection(run, fam)["pass"]
         assert size_bound(g, run.final)["pass"]
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from multifact import (
     MultipartiteGraph,
     brute_force_candidates,
+    chains,
     clique_incidence,
     collapse_bipartite,
     factor_candidates,
@@ -97,7 +98,7 @@ def test_step_records_match_the_stages_they_join(g, cap):
             assert s.added_edges == len(after.edges - before.edges)
             assert s.level_sizes == list(after.level_sizes())
             k = s.step + 1  # the level the step creates
-            assert s.rule == ("factor" if run.mode == "clean" and k <= 3 else run.mode)
+            assert s.rule == ("factor" if run.mode == "clean" and k < 3 else run.mode)
         if run.status.terminated:
             last = run.stats[-1]
             assert (last.removed_edges, last.added_edges) == (0, 0)
@@ -125,7 +126,7 @@ def test_all_modes_agree_on_stage_two(g):
 @given(gnp)
 def test_candidate_effectiveness_nests_across_modes(g):
     for m in run_clean(g).graphs:
-        if m.top + 1 >= 4 and candidate_family(m, "clean").effective:
+        if m.top + 1 >= 3 and candidate_family(m, "clean").effective:
             assert factor_candidates(m).effective
         if factor_candidates(m).effective:
             assert weak_candidates(m).effective
@@ -153,7 +154,7 @@ def test_fast_candidates_match_brute_force_on_every_stage(g):
             run_factor(g, cap=4) if mode == "factor" else run_clean(g)
         )
         for m in run.graphs:
-            if mode == "clean" and m.top + 1 < 4:
+            if mode == "clean" and m.top + 1 < 3:
                 continue
             if len(m.levels[m.top]) > 12:
                 continue
@@ -189,6 +190,27 @@ def test_sequences_have_full_length_and_grow_strictly(g):
             s = characterising_sequence(run, x, fam)
             assert len(s) == k - 1
             assert all(a < b for a, b in zip(s, s[1:]))
+
+
+@settings(max_examples=40, **COMMON)
+@given(
+    st.builds(
+        random_graph,
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from([0.4, 0.6, 0.7, 0.8]),
+        st.integers(min_value=0, max_value=10**6),
+    )
+)
+def test_clean_levels_are_as_large_as_their_chain_sets(g):
+    # level k >= 2 is in bijection with the chains of length k-1, so it
+    # has exactly as many vertices, and the run stops one past the height
+    run = run_clean(g)
+    fam = intersection_family(g)
+    m = run.final
+    assert run.status.rank == fam.height + 1
+    for k in range(2, max(m.top, fam.height + 1) + 1):
+        built = len(m.levels[k]) if k <= m.top else 0
+        assert built == len(chains(fam, k - 1)), k
 
 
 def creation_lemma_violations(m: MultipartiteGraph) -> list[tuple[int, int, int]]:

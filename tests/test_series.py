@@ -143,8 +143,8 @@ def test_series_stats_shape(diamond):
     assert stats["mode"] == "clean"
     assert stats["status"] == {"kind": "terminated", "rank": 2, "cap": None}
     assert [s["step"] for s in stats["steps"]] == [1, 2]
-    # clean mode applies the factor rule while building levels 2 and 3
-    assert [s["rule"] for s in stats["steps"]] == ["factor", "factor"]
+    # clean mode applies the factor rule only while building level 2
+    assert [s["rule"] for s in stats["steps"]] == ["factor", "clean"]
     assert [s["effective"] for s in stats["steps"]] == [True, False]
     assert stats["final"]["level_sizes"] == [4, 2, 1]
     assert stats["final"]["vertices"] == 7
