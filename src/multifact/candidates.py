@@ -24,12 +24,13 @@ family kept by a step consists of the inclusion-maximal candidate sets
           condition, which built surplus vertices whose first sequence
           entry is trivial.
 
-Every rule walks classes of top-level vertices, each over its own
-neighbourhood: weak and factor pass the whole top level as one class,
-clean its equivalence classes (at level 3 the whole top level).  The walk
-enumerates closed vertex sets of the bipartite adjacency between a class
-and what it touches below, via intersections of the per-lower-vertex
-neighbour masks.  Three reductions keep it sound:
+Each rule can be computed by a walk over classes of top-level vertices,
+each over its own neighbourhood: weak and factor pass the whole top level
+as one class, ``clean_candidates`` on a stage alone its equivalence classes
+(at level 3 the whole top level).  The walk enumerates closed vertex sets
+of the bipartite adjacency between a class and what it touches below, via
+intersections of the per-lower-vertex neighbour masks.  Three reductions
+keep it sound:
 
 1. maximal candidate sets correspond exactly to closed pairs: two
    distinct closed pairs never produce nested candidate sets, and every
@@ -42,6 +43,64 @@ neighbour masks.  Three reductions keep it sound:
 3. for clean mode, candidates from distinct equivalence classes are
    never comparable, so classes can be enumerated independently.
 
+A clean run walks only for level 2.  From the step building level 3 on it
+reads each family off the chains of the run so far (``ChainIndex``), by
+the lemma below; the walk stays as the rule for arbitrary multipartite
+graphs and as the reference the chain path is tested against.
+
+Chain-extension lemma.  Let P be the nontrivial elements (``lattice``)
+ordered by inclusion, supp(o) the level-1 vertices of the cliques that
+contain o, and ``snap[v][j]`` v's creation level-j neighbourhood.  In a
+clean run, for every k >= 2 the level-k vertices are x_c, one for each
+chain c = (c_1 < ... < c_{k-1}) of P, with
+
+  (S0) ``snap[x_c][0]`` = c_1 and (S1) ``snap[x_c][1]`` = supp(c_{k-1}),
+  (Sj) ``snap[x_c][j]`` = the x_(c_1..c_{j-2}, o) with c_{j-1} <= o <= c_j,
+       for 2 <= j <= k-1: an interval of P above a fixed prefix;
+
+and the clean family of the stage topped by level k has one member per
+pair (t, e), t = x_c and e in P with e > m = c_{k-1}: the upper part is
+the x_(c_1..c_{k-2}, o) with m <= o <= e, the lower part t's creation
+neighbourhood at levels 0 and 2..k-1 with supp(e) at level 1, and the new
+vertex is x_(c, e).
+
+Proof, by induction on k.  Level 2 is the factor rule over cliques and
+vertices, whose closed pairs with two of each are (supp(o), o) for o in P:
+(S0) and (S1).  Given the claim for level k:
+
+(a) A top vertex got all its edges when it was created and no step has
+    cut any since, so its live neighbourhoods are its snapshots.
+(b) A clean class is one chain prefix.  The class key (k >= 3) is the
+    level-0 set and the sets of levels 2..k-2.  By (Sj) the level-j set
+    names the prefix (c_1..c_{j-2}) and an interval whose least and
+    greatest members are c_{j-1} and c_j, so the key fixes c_1..c_{k-2}
+    and the class is the x_(pi, o), pi = (c_1..c_{k-2}), o > c_{k-2}.  At
+    k = 2 the class is the whole level and pi is empty.
+(c) Let U be two or more of a class, O their last elements, a the
+    intersection and b the union of O, and b' the least element containing
+    b (the intersection of the cliques that contain b).  Below U they have
+    in common: at level 1 supp(b) = supp(b'); at level k-1 (k >= 3) the
+    x_(c_1..c_{k-3}, o) with c_{k-2} <= o <= a; at level 0 c_1 (at k = 2,
+    a); at levels 2..k-2 the class key.  The two-vertex conditions hold
+    exactly when two or more cliques contain b and a > c_{k-2} (at k = 2,
+    |a| >= 2).  Then b' is in P, and so is a: it is the intersection of the
+    supports of O, two or more cliques, with two or more vertices.
+(d) A class member x_(pi, o) is adjacent to all of that lower part
+    exactly when supp(o) contains supp(b'), that is o <= b' (an element is
+    the intersection of its supports), and a <= o.  So the extent is the
+    interval [a, b'], and the closed pairs are exactly the intervals [m, e]
+    with c_{k-2} < m < e (at k = 2, m < e); with t = x_(pi, m) the lower
+    part is as stated (levels 2..k-2 from the key, level k-1 or 0 by (Sj)
+    or (S0) of t).
+(e) A new vertex's snapshots are its candidate split by level, which gives
+    (S0), (S1) and (Sj) for the chain (c, e).  Each chain of length k comes
+    from exactly one pair, its prefix's vertex and its last element, so
+    level k+1 is in bijection with those chains.
+
+By (b), each member x_(pi, o) that (d) names exists, so a failed lookup in
+the index is an integrity error.  ``CandidateFamily`` sorts its members, so
+the chain path and the walk give one family in one order.
+
 ``brute_force_candidates`` enumerates subsets literally and exists as an
 independent cross-check for small graphs; it must stay separate from the
 fast path.
@@ -51,7 +110,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import ContractError, MultipartiteGraph, bit_indices
+from .core import ContractError, IntegrityError, MultipartiteGraph, bit_indices
 
 MODES = ("weak", "factor", "clean")
 
@@ -59,7 +118,8 @@ MODES = ("weak", "factor", "clean")
 BRUTE_FORCE_LIMIT = 16
 
 # kept intents up to which the concept walk scans them all instead of
-# indexing them by bit; measured on small dense clean classes
+# indexing them by bit; measured on small dense clean classes, which a
+# clean series no longer walks (it reads them off its ChainIndex)
 _SCAN_LIMIT = 64
 
 
@@ -290,14 +350,132 @@ def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
     return [sorted(v) for v in groups.values()]
 
 
-def clean_candidates(g: MultipartiteGraph) -> CandidateFamily:
+class ChainIndex:
+    """The chains of a clean run's top level, grown one level per step.
+
+    Elements are the level-2 vertices, numbered by size, so a strict
+    superset has a larger number.  ``_ext[m]`` lists for each element e
+    strictly above element m the interval [m, e] as ascending numbers, so
+    it starts at m and ends at e, and ``_sup[e]`` is e's level-1 part, the
+    sorted supports.  Of the top level the index keeps each vertex's last
+    element (``_last``) and the vertices grouped by prefix parent, each
+    group keyed by last element (``_kids``).  One index follows one run:
+    it starts at the stage that tops out at level 2, and each later stage
+    adds one level, read off the new top vertices' upper snapshots.
+    """
+
+    __slots__ = ("_top", "_ext", "_sup", "_last", "_kids")
+
+    def __init__(self) -> None:
+        self._top = 0  # the top level indexed so far; 0 before the first stage
+
+    def _start(self, g: MultipartiteGraph) -> None:
+        snaps = g.snapshots
+        elems = sorted(g.levels[2], key=lambda v: (len(snaps[v][0]), v))
+        # the elements through each level-0 vertex; an element's up-set is
+        # the AND over its members, itself included
+        through: dict[int, int] = {}
+        for i, v in enumerate(elems):
+            for w in snaps[v][0]:
+                through[w] = through.get(w, 0) | 1 << i
+        ups = []
+        for v in elems:
+            up = (1 << len(elems)) - 1
+            for w in snaps[v][0]:
+                up &= through[w]
+            ups.append(up)
+        downs = [0] * len(elems)
+        for i, up in enumerate(ups):
+            for j in bit_indices(up):
+                downs[j] |= 1 << i
+        self._ext = [
+            [tuple(bit_indices(up & downs[e])) for e in bit_indices(up ^ (1 << m))]
+            for m, up in enumerate(ups)
+        ]
+        self._sup = [tuple(sorted(snaps[v][1])) for v in elems]
+        self._last = {v: i for i, v in enumerate(elems)}
+        self._kids = {None: dict(enumerate(elems))}
+
+    def _grow(self, g: MultipartiteGraph) -> None:
+        # a new vertex's upper snapshot is an interval [m, e] of siblings:
+        # the one ending in m is its parent, and e is its last element
+        top = g.top
+        snaps = g.snapshots
+        last = self._last
+        grown: dict[int, int] = {}
+        kids: dict[int, dict[int, int]] = {}
+        for x in g.levels[top]:
+            upper = snaps[x][top - 1]
+            try:
+                parent = min(upper, key=last.__getitem__)
+                e = last[max(upper, key=last.__getitem__)]
+            except KeyError as missing:
+                raise IntegrityError(
+                    f"{g.labels[x]}: upper vertex {missing.args[0]} is not in the chain index"
+                ) from None
+            grown[x] = e
+            at = kids.get(parent)
+            if at is None:
+                kids[parent] = {e: x}
+            else:
+                at[e] = x
+        self._last = grown
+        self._kids = kids
+
+    def family(self, g: MultipartiteGraph) -> CandidateFamily:
+        """The clean family of g, a stage of the run this index follows.
+
+        One candidate per top vertex t and element e strictly above t's
+        last element m: the siblings of t ending in [m, e] above, and
+        t's creation neighbourhood at levels 0 and 2..top-1 with e's
+        supports below.  Levels occupy ascending id blocks, so the lower
+        part is sorted as concatenated.
+        """
+        top = g.top
+        if top == 2:
+            self._start(g)
+        elif top == self._top + 1:
+            self._grow(g)
+        else:
+            raise ContractError(f"the chain index stands at level {self._top}, not {top - 1}")
+        self._top = top
+        snaps = g.snapshots
+        ext, sup = self._ext, self._sup
+        members: list[Candidate] = []
+        for sib in self._kids.values():
+            for m, x in sib.items():
+                ivs = ext[m]
+                if not ivs:
+                    continue
+                s = snaps[x]
+                head = tuple(sorted(s[0]))
+                tail = tuple(sorted([y for j in range(2, top) for y in s[j]]))
+                for iv in ivs:
+                    try:
+                        upper = [sib[o] for o in iv]
+                    except KeyError as missing:
+                        raise IntegrityError(
+                            f"{g.labels[x]}: no sibling ends in chain element {missing.args[0]}"
+                        ) from None
+                    upper.sort()
+                    members.append(
+                        Candidate._from_sorted(tuple(upper), head + sup[iv[-1]] + tail)
+                    )
+        return CandidateFamily("clean", top + 1, members)
+
+
+def clean_candidates(g: MultipartiteGraph, chains: ChainIndex | None = None) -> CandidateFamily:
     """Factor candidates meeting levels 1 and 0 twice, one class at a time.
 
     At level 3 the whole top level is one class: grouped by their level-0
-    neighbourhoods, the level-2 vertices would each be alone.
+    neighbourhoods, the level-2 vertices would each be alone.  Given the
+    ``chains`` of the run g is a stage of, the family is read off them
+    instead of walked (the chain-extension lemma in the module docstring).
     """
     top = g.top
     _check_target("clean", top + 1)
+    if chains is not None:
+        return chains.family(g)
     classes = _clean_classes(g) if top >= 3 else [sorted(g.levels[top])]
     # the level below the top first, as it keys the index; at level 3 it is level 1
     within = [g.levels[p] for p in sorted({top - 1, 1, 0}, reverse=True)]

@@ -68,9 +68,9 @@ def intersection_family(g: Graph) -> IntersectionFamily:
     all of them together share no vertex; three cliques can meet pairwise
     and still do.  The fold keeps each element under its support mask, the
     table sequences are resolved with.  This fold stays separate from the
-    candidates' concept walk on purpose: the family is the reference the
-    decomposition is checked against.  It reads the cliques g already
-    keeps, if the series enumerated them.
+    candidates' chain index and concept walk on purpose: the family is the
+    reference the decomposition is checked against.  It reads the cliques
+    g already keeps, if the series enumerated them.
     """
     ks = maximal_cliques(g)
     masks = [sum(1 << v for v in c) for c in ks]

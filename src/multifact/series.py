@@ -5,7 +5,13 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
-from .candidates import CandidateFamily, clean_candidates, factor_candidates, weak_candidates
+from .candidates import (
+    CandidateFamily,
+    ChainIndex,
+    clean_candidates,
+    factor_candidates,
+    weak_candidates,
+)
 from .cliques import clique_incidence
 from .core import ContractError, Graph, IntegrityError, MultipartiteGraph
 from .transform import factorise, project
@@ -68,7 +74,7 @@ class SeriesRun:
         return self.graphs[-1]
 
 
-def _rule_for(mode: str, k: int):
+def _rule_for(mode: str, k: int, chains: ChainIndex):
     if mode == "weak":
         return weak_candidates
     # level 2 of a clean run is built with the factor rule; the clean rule
@@ -76,7 +82,9 @@ def _rule_for(mode: str, k: int):
     if mode == "factor" or (mode == "clean" and k < 3):
         return factor_candidates
     if mode == "clean":
-        return clean_candidates
+        # the module attribute is looked up at each call, so a wrapper
+        # installed on it sees every clean step
+        return lambda g: clean_candidates(g, chains)
     raise ContractError(f"unknown mode {mode!r}")
 
 
@@ -86,10 +94,11 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
     current = clique_incidence(g)
     graphs = [current]
     stats: list[StepStats] = []
+    chains = ChainIndex()
     index = 0
     while True:
         index += 1
-        pick = _rule_for(mode, current.top + 1)
+        pick = _rule_for(mode, current.top + 1, chains)
         t0 = time.perf_counter()
         fam: CandidateFamily = pick(current)
         t1 = time.perf_counter()
@@ -144,13 +153,17 @@ def run_clean(g: Graph, low_memory: bool = False) -> SeriesRun:
     Level 2 is produced by the factor rule, every later level by the clean
     rule (not levels 2 and 3 by the factor rule: see ``candidates``), so
     level k is in bijection with the chains of length k-1 that
-    ``lattice.verify_charseq_theorem`` checks.  The run must terminate
+    ``lattice.verify_charseq_theorem`` checks.  The clean families are not
+    walked: a ``ChainIndex`` follows the run, and each family extends every
+    top vertex's chain by each element above its last one (the
+    chain-extension lemma in ``candidates``).  The run must terminate
     with rank at most the vertex count (at least 1 for the empty graph);
-    anything else is a pipeline bug.
+    anything else is a pipeline bug.  That bound is the run's step cap, so
+    a broken family stops there instead of running on.
     """
-    run = _run(g, "clean", None, low_memory)
     bound = max(g.vertex_count, 1)
-    if not run.status.terminated or run.status.rank > bound:
+    run = _run(g, "clean", bound, low_memory)
+    if not run.status.terminated:
         raise IntegrityError(
             f"clean series did not stop within rank {bound}: {run.status.describe()}"
         )

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import sys
 
 import pytest
@@ -8,6 +10,8 @@ from multifact import (
     Candidate,
     CandidateFamily,
     ContractError,
+    Graph,
+    IntegrityError,
     MultipartiteGraph,
     brute_force_candidates,
     clean_candidates,
@@ -17,10 +21,12 @@ from multifact import (
     run_clean,
     run_factor,
     run_weak,
+    serialise_edge_list,
     weak_candidates,
 )
-from multifact import candidates
-from multifact.candidates import _closed_intents, candidate_family
+from multifact import candidates, series
+from multifact.candidates import ChainIndex, _closed_intents, candidate_family
+from multifact.cli import main
 
 
 def pairs(fam: CandidateFamily) -> set[tuple[frozenset[int], frozenset[int]]]:
@@ -291,3 +297,115 @@ def test_a_third_mask_prunes_like_a_filter_after_the_walk(context, also):
             assert _closed_intents(objects, keep_mask, meet_mask, also) == want
     finally:
         candidates._SCAN_LIMIT = saved
+
+
+def clean_steps(g) -> list[tuple[MultipartiteGraph, CandidateFamily]]:
+    """Each clean step of ``run_clean(g)``: the stage and the family it spent.
+
+    The series calls its clean rule through ``series.clean_candidates``
+    with the run's chain index, so a recorder put there sees every family
+    built by chain extension.
+    """
+    steps = []
+    real = series.clean_candidates
+
+    def record(stage, chains=None):
+        assert chains is not None
+        fam = real(stage, chains)
+        steps.append((stage, fam))
+        return fam
+
+    series.clean_candidates = record
+    try:
+        run_clean(g)
+    finally:
+        series.clean_candidates = real
+    return steps
+
+
+def assert_chain_families_are_the_rule(g) -> None:
+    """Chain extension against the walk and, on small tops, the brute force."""
+    for stage, fam in clean_steps(g):
+        assert fam.members == clean_candidates(stage).members, stage.top
+        if len(stage.levels[stage.top]) <= 13:
+            assert fam.members == brute_force_candidates(stage, "clean").members, stage.top
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        random_graph,
+        st.integers(min_value=5, max_value=13),
+        st.sampled_from([0.5, 0.7, 0.9]),  # sparser graphs seldom have chains
+        st.integers(min_value=0, max_value=10**6),
+    )
+)
+def test_chain_extension_gives_the_clean_family(g):
+    assert_chain_families_are_the_rule(g)
+
+
+def _bench_graphs() -> list[tuple[str, Graph]]:
+    """Every edge list of the benchmark's workloads, under its own names."""
+    path = pathlib.Path(__file__).parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    instances = [inputs.WARM_UP, *(i for w in inputs.WORKLOADS.values() for i in w)]
+    return [(i.name, Graph(i.labels(0), i.edges)) for i in instances]
+
+
+BENCH_GRAPHS = _bench_graphs()
+
+
+@pytest.mark.parametrize("g", [g for _, g in BENCH_GRAPHS], ids=[n for n, _ in BENCH_GRAPHS])
+def test_chain_extension_on_the_bench_graphs(g):
+    assert_chain_families_are_the_rule(g)
+
+
+def test_a_chain_index_follows_one_run_level_by_level(fix_chain):
+    stages = run_clean(fix_chain).graphs
+    assert [m.top for m in stages] == [1, 2, 3]
+    chains = ChainIndex()
+    with pytest.raises(ContractError, match="stands at level 0, not 2"):
+        chains.family(stages[2])
+    for m in stages[1:]:
+        assert chains.family(m).members == clean_candidates(m).members
+    with pytest.raises(ContractError, match="stands at level 3, not 2"):
+        chains.family(stages[2])
+
+
+def _lose(slot: str):
+    """A ``ChainIndex._start`` that drops the largest key of one of its maps."""
+    start = ChainIndex._start
+
+    def start_and_lose(self, g):
+        start(self, g)
+        state = getattr(self, slot)
+        if slot == "_kids":
+            (state,) = state.values()  # level 2 is one sibling group
+        del state[max(state)]
+
+    return start_and_lose
+
+
+@pytest.mark.parametrize(
+    "slot, message",
+    [
+        ("_kids", "no sibling ends in chain element"),
+        ("_last", "is not in the chain index"),
+    ],
+)
+def test_a_failed_chain_lookup_is_one_integrity_error_line(
+    slot, message, fix_chain, monkeypatch, tmp_path, capsys
+):
+    # fix-chain has elements {a,b} < {a,b,c}: the level-3 step needs both
+    # level-2 vertices as siblings, and the level-4 step reads both again
+    monkeypatch.setattr(ChainIndex, "_start", _lose(slot))
+    with pytest.raises(IntegrityError, match=message):
+        run_clean(fix_chain)
+    path = tmp_path / "fix-chain.edges"
+    path.write_text(serialise_edge_list(fix_chain))
+    assert main(["decompose", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1

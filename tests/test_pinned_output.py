@@ -16,6 +16,7 @@ from multifact import (
     run_clean,
     run_weak,
     serialise_multipartite,
+    suite_seed,
 )
 from tests.conftest import DATA, DIAMOND, FIX_CHAIN
 
@@ -39,11 +40,17 @@ def edges(name: str) -> Graph:
          "2407de3e7f78ba44821443d556bfb6a5f62cc25523e60f05971e1692ccb0eb24"),
         (lambda: random_graph(12, 0.7, 828131),
          "9d486e9e5ba004362e1ca44ca8895f7d74e311518bca56a4ae9c8176b487da0d"),
+        # the largest clean-dense bench graph, and a six-step sweep instance
+        (lambda: random_graph(17, 0.7, suite_seed(17, 0.7, 1)),
+         "3ffb05ee55940df3fdae1d1eed20278a42f736565a6f9ae630d38cb1fd055910"),
+        (lambda: random_graph(19, 0.7, suite_seed(19, 0.7, 1)),
+         "4c4ac021f96e1dba4878719e354aca8eb3678550f3068dfc4ebb7da16d40c624"),
     ],
-    ids=["diamond", "fix-chain", "membership-witness", "dense-828131"],
+    ids=["diamond", "fix-chain", "membership-witness", "dense-828131", "dense-867727",
+         "dense-883565"],
 )
 def test_clean_bytes(graph, want):
-    assert digest(run_clean(graph())) == want
+    assert digest(run_clean(graph(), low_memory=True)) == want
 
 
 def test_weak_bytes_of_the_apex_witness():
