@@ -117,11 +117,6 @@ MODES = ("weak", "factor", "clean")
 # brute-force subset enumeration is exponential; cap its use
 BRUTE_FORCE_LIMIT = 16
 
-# kept intents up to which the concept walk scans them all instead of
-# indexing them by bit; measured on small dense clean classes, which a
-# clean series no longer walks (it reads them off its ChainIndex)
-_SCAN_LIMIT = 64
-
 
 class Candidate:
     """One admissible pair: ``upper`` above the cut, ``lower`` below it."""
@@ -221,23 +216,18 @@ def _closed_intents(
     intent is a superset of it and so survives too, and an object that
     fails can never join a survivor.
 
-    Each arriving object meets what is filed: the earlier objects and the
-    kept intents.  Past ``_SCAN_LIMIT`` filed masks it meets only those
-    filed under one of its kept bits in an index.  That loses nothing: a
-    kept intersection has two bits inside ``keep`` and each of its parts
-    contains both.  Below the limit a full scan is cheaper than the index.
+    Each surviving object and each kept intent is filed in an index under
+    every one of its kept bits, and an arriving object meets only what is
+    filed under one of its own.  That loses nothing: a kept intersection
+    has two bits inside ``keep`` and each of its parts contains both.
     """
     intents: set[int] = set()
-    filed: set[int] = set()  # the kept intents and the objects met so far
-    by_bit: dict[int, set[int]] | None = None
+    by_bit: dict[int, set[int]] = {}
     for om in objects:
         kept = om & keep
         if kept.bit_count() < 2 or (om & meet).bit_count() < 2 or (om & also).bit_count() < 2:
             continue
-        if by_bit is None:
-            near = filed
-        else:
-            near = set().union(*[by_bit.get(b, ()) for b in bit_indices(kept)])
+        near = set().union(*[by_bit.get(b, ()) for b in bit_indices(kept)])
         cuts = {f & om for f in near}
         cuts -= intents
         fresh = [
@@ -248,13 +238,7 @@ def _closed_intents(
             and (c & also).bit_count() >= 2
         ]
         intents.update(fresh)
-        if om not in filed:
-            fresh.append(om)
-        filed.update(fresh)
-        if by_bit is None:
-            if len(filed) <= _SCAN_LIMIT:
-                continue
-            by_bit, fresh = {}, filed
+        fresh.append(om)
         for c in fresh:
             for b in bit_indices(c & keep):
                 at = by_bit.get(b)

@@ -44,7 +44,8 @@ EXIT_FAILED = 3
 
 def _load(path: str, parse):
     """Parse a file; a format error names the file, an ``OSError`` reaches main."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # no newline translation: the parsers break lines at "\n" only
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:
@@ -164,6 +165,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.input is None:
             return _fail("an input path or --random is required")
+        if args.seed is not None:
+            return _fail("--seed applies to --random suites only")
         g = _load(args.input, parse_edge_list)
         out = {"source": args.input, **_verify_report(g)}
     print(json.dumps(out, indent=2))
@@ -187,9 +190,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     # timing stays off stdout so identical inputs give identical bytes
     total = 0.0
     for step in stats["steps"]:
-        ms = step.pop("elapsed_ms")
-        total += ms
         c, f = step.pop("candidates_ms"), step.pop("factorise_ms")
+        ms = c + f
+        total += ms
         name = f"step {step['step']} ({step['rule']})"
         print(f"{name}: {ms:.1f} ms (candidates {c:.1f} ms, factorise {f:.1f} ms)", file=sys.stderr)
     print(f"total: {total:.1f} ms", file=sys.stderr)

@@ -44,16 +44,14 @@ class IntersectionFamily:
     """Intersections of maximal cliques, their supports, and the chain order."""
 
     cliques: tuple[frozenset[int], ...]
-    elements: frozenset[frozenset[int]]
     nontrivial: tuple[frozenset[int], ...]
+    # element -> the indices of the cliques containing it; the keys are the elements
     supports: dict[frozenset[int], frozenset[int]]
     # support mask -> element, and each single clique under its own bit
     by_support: dict[int, frozenset[int]]
     height: int
-    _supersets: dict[frozenset[int], tuple[frozenset[int], ...]]
-
-    def strict_supersets(self, o: frozenset[int]) -> tuple[frozenset[int], ...]:
-        return self._supersets[o]
+    # each nontrivial element -> its strict supersets, in canonical order
+    supersets: dict[frozenset[int], tuple[frozenset[int], ...]]
 
 
 def intersection_family(g: Graph) -> IntersectionFamily:
@@ -114,8 +112,7 @@ def intersection_family(g: Graph) -> IntersectionFamily:
         supports[frozenset()] = frozenset(range(len(masks)))
         by_support[everyone] = frozenset()
     by_support.update((1 << i, c) for i, c in enumerate(ks))
-    elements = frozenset(supports)
-    nontrivial = tuple(sorted((o for o in elements if len(o) >= 2), key=_canon_key))
+    nontrivial = tuple(sorted((o for o in supports if len(o) >= 2), key=_canon_key))
 
     supersets = {
         o: tuple(sorted((p for p in nontrivial if o < p), key=_canon_key))
@@ -129,18 +126,17 @@ def intersection_family(g: Graph) -> IntersectionFamily:
 
     return IntersectionFamily(
         cliques=ks,
-        elements=elements,
         nontrivial=nontrivial,
         supports=supports,
         by_support=by_support,
         height=max(deepest.values(), default=0),
-        _supersets=supersets,
+        supersets=supersets,
     )
 
 
 def _longer(fam: IntersectionFamily, shorter: list[tuple]) -> list[tuple]:
     # each chain, in turn, extended by each strict superset of its top
-    return [c + (p,) for c in shorter for p in fam.strict_supersets(c[-1])]
+    return [c + (p,) for c in shorter for p in fam.supersets[c[-1]]]
 
 
 def chains(fam: IntersectionFamily, length: int) -> list[tuple[frozenset[int], ...]]:

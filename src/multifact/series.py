@@ -49,7 +49,6 @@ class StepStats:
     added_edges: int
     level_sizes: list[int]
     edges: int
-    elapsed_ms: float  # candidates_ms + factorise_ms
     candidates_ms: float  # building the candidate family
     factorise_ms: float  # spending it
 
@@ -115,7 +114,6 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
                 added_edges=step.added_count,
                 level_sizes=list(step.after.level_sizes()),
                 edges=step.after.edge_count,
-                elapsed_ms=cand_ms + fact_ms,
                 candidates_ms=cand_ms,
                 factorise_ms=fact_ms,
             )

@@ -195,7 +195,7 @@ def test_criterion_3_fix_chain():
     rep = verify_charseq_theorem(run, fam)
     ok = ok and rep["pass"]
     # confirmed against the brute-force lattice oracle
-    ok = ok and brute_elements(g) == fam.elements
+    ok = ok and brute_elements(g) == fam.supports.keys()
     ok = ok and brute_chains(fam, 2) == {(ab, abc)}
     line = _verdict(
         3,

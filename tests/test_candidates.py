@@ -24,7 +24,7 @@ from multifact import (
     serialise_edge_list,
     weak_candidates,
 )
-from multifact import candidates, series
+from multifact import series
 from multifact.candidates import ChainIndex, _closed_intents, candidate_family
 from multifact.cli import main
 
@@ -257,25 +257,17 @@ def test_closed_intents_match_the_all_pairs_closure(context):
     want = _all_pairs_closure(objects, keep_mask, meet_mask)
     unique = sorted(set(objects))
     want_unique = _all_pairs_closure(unique, keep_mask, meet_mask)
-    saved = candidates._SCAN_LIMIT
-    try:
-        # the full scan, the index from the first intent on, and the default
-        for limit in (sys.maxsize, 0, saved):
-            candidates._SCAN_LIMIT = limit
-            assert _closed_intents(objects, keep_mask, meet_mask) == want
-            assert _closed_intents(unique, keep_mask, meet_mask) == want_unique
-    finally:
-        candidates._SCAN_LIMIT = saved
+    assert _closed_intents(objects, keep_mask, meet_mask) == want
+    assert _closed_intents(unique, keep_mask, meet_mask) == want_unique
 
 
-def test_closed_intents_index_is_exercised():
-    # a dense context whose kept intents outgrow the full scan
+def test_closed_intents_match_the_all_pairs_closure_on_a_dense_context():
+    # near-complete objects whose kept intents number over a thousand
     objects = [((1 << 12) - 1) ^ (1 << i) ^ (1 << (i + 3) % 12) for i in range(12)]
     objects += [m & ~(1 << j) for m in objects for j in (0, 5)]
     keep_mask = ((1 << 12) - 1) ^ 0b11
     meet_mask = (1 << 12) - 1
     got = _closed_intents(objects, keep_mask, meet_mask)
-    assert len(got) > candidates._SCAN_LIMIT
     assert got == _all_pairs_closure(objects, keep_mask, meet_mask)
 
 
@@ -290,13 +282,7 @@ def test_a_third_mask_prunes_like_a_filter_after_the_walk(context, also):
         for c in _all_pairs_closure(objects, keep_mask, meet_mask)
         if (c & also).bit_count() >= 2
     }
-    saved = candidates._SCAN_LIMIT
-    try:
-        for limit in (sys.maxsize, 0, saved):
-            candidates._SCAN_LIMIT = limit
-            assert _closed_intents(objects, keep_mask, meet_mask, also) == want
-    finally:
-        candidates._SCAN_LIMIT = saved
+    assert _closed_intents(objects, keep_mask, meet_mask, also) == want
 
 
 def clean_steps(g) -> list[tuple[MultipartiteGraph, CandidateFamily]]:

@@ -117,6 +117,24 @@ class TestDecompose:
         assert main(["decompose", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_a_lone_carriage_return_does_not_end_a_line(self, tmp_path, capsys):
+        # the file is read as stored: "\r" inside a line stays in it
+        bad = tmp_path / "cr.edges"
+        bad.write_bytes(b"a b\rb c\n")
+        assert main(["decompose", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "line 1" in captured.err
+        assert captured.out == ""
+        # the trailing "\r" of a CRLF line is stripped with the blanks
+        lf, crlf = tmp_path / "lf.edges", tmp_path / "crlf.edges"
+        lf.write_bytes(b"a b\nb c\na c\nc d\n")
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["decompose", str(lf)]) == 0
+        want = capsys.readouterr()
+        assert main(["decompose", str(crlf)]) == 0
+        assert capsys.readouterr() == want
+
     def test_low_memory_same_output(self, diamond_file, capsys):
         # decompose keeps only the final stage; a run keeping every stage
         # serialises to the same bytes
@@ -229,6 +247,13 @@ class TestVerify:
         assert stats["final"]["bound"] == size_bound(g, run_clean(g).final)
         assert stats["final"]["bound"]["cliques_per_vertex"] == 3
 
+    def test_seed_without_random_is_one_error_line(self, diamond_file, capsys):
+        # a file has no suite, so a base seed would be ignored
+        assert main(["verify", str(diamond_file), "--seed", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed applies to --random suites only\n"
+        assert captured.out == ""
+
     def test_requires_an_input(self, capsys):
         assert main(["verify"]) == 1
         assert main(["verify", "x.edges", "--random", "n=4"]) == 1
@@ -265,6 +290,20 @@ class TestProject:
         assert main(["project", str(b), "--to-graph"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: level 0 must occupy ids 0..n-1 to collapse\n"
+        assert captured.out == ""
+
+    def test_crlf_multipartite_file_is_one_error_line(self, tmp_path, capsys):
+        # the mgraph format is canonical byte for byte, line ends included
+        text = serialise_multipartite(clique_incidence(Graph.from_edge_list(DIAMOND)))
+        lf, crlf = tmp_path / "lf.mg", tmp_path / "crlf.mg"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert main(["project", str(lf), "--to-graph"]) == 0
+        capsys.readouterr()
+        assert main(["project", str(crlf), "--to-graph"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "line 1" in captured.err
         assert captured.out == ""
 
     def test_malformed_multipartite_file(self, tmp_path, capsys):

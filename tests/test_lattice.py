@@ -58,7 +58,7 @@ def dfs_chains(fam, length: int) -> list[tuple[frozenset[int], ...]]:
         if len(chain) == length:
             out.append(chain)
             return
-        for p in fam.strict_supersets(chain[-1]):
+        for p in fam.supersets[chain[-1]]:
             extend(chain + (p,))
 
     for o in fam.nontrivial:
@@ -70,7 +70,7 @@ class TestIntersectionFamily:
     def test_diamond(self, diamond):
         fam = intersection_family(diamond)
         assert fam.nontrivial == (frozenset({1, 2}),)
-        assert fam.elements == {frozenset({1, 2})}
+        assert fam.supports.keys() == {frozenset({1, 2})}
         assert fam.supports[frozenset({1, 2})] == {0, 1}
         assert fam.height == 1
 
@@ -81,21 +81,21 @@ class TestIntersectionFamily:
         assert fam.supports[ab] == {0, 1, 2}  # {a,b} sits in all three cliques
         assert fam.supports[abc] == {0, 1}
         assert fam.height == 2
-        assert fam.strict_supersets(ab) == (abc,)
-        assert fam.strict_supersets(abc) == ()
+        assert fam.supersets[ab] == (abc,)
+        assert fam.supersets[abc] == ()
 
     def test_bowtie_has_no_nontrivial_elements(self, bowtie):
         fam = intersection_family(bowtie)
         assert fam.nontrivial == ()
         assert fam.height == 0
-        assert fam.elements == {frozenset({2})}  # the cut vertex
+        assert fam.supports.keys() == {frozenset({2})}  # the cut vertex
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_subset_oracle(self, seed):
         g = random_graph(9, 0.5, 700 + seed)
         fam = intersection_family(g)
         want = brute_elements(g)
-        assert fam.elements == want
+        assert fam.supports.keys() == want
         assert set(fam.nontrivial) == {o for o in want if len(o) >= 2}
         for o, sup in fam.supports.items():
             assert sup == {i for i, c in enumerate(fam.cliques) if o <= c}
@@ -103,11 +103,11 @@ class TestIntersectionFamily:
     @pytest.mark.parametrize("seed", [900, 901, 902])
     def test_fixpoint_under_pairwise_intersection(self, seed):
         fam = intersection_family(random_graph(9, 0.6, seed))
-        for a in fam.elements:
-            for b in fam.elements:
-                assert a & b in fam.elements
+        for a in fam.supports:
+            for b in fam.supports:
+                assert a & b in fam.supports
             for c in fam.cliques:
-                assert a & c in fam.elements
+                assert a & c in fam.supports
 
 
 def old_family(g: Graph):
@@ -169,9 +169,9 @@ class TestIndexedFamily:
         fam = intersection_family(g)
         assert len(fam.cliques) == 4
         assert all(p & q for p in fam.cliques for q in fam.cliques)
-        assert frozenset() in fam.elements
+        assert frozenset() in fam.supports
         assert fam.supports[frozenset()] == frozenset(range(4))
-        assert fam.elements == brute_elements(g)
+        assert fam.supports.keys() == brute_elements(g)
 
     @pytest.mark.parametrize("n, p, seed", [(8, 0.7, 399), (8, 0.6, 443), (8, 0.5, 1751)])
     def test_deep_elements_need_every_fold(self, n, p, seed):
@@ -179,28 +179,28 @@ class TestIndexedFamily:
         # element that folding each element into only its first touching
         # clique misses
         g = random_graph(n, p, seed)
-        assert intersection_family(g).elements == brute_elements(g)
+        assert intersection_family(g).supports.keys() == brute_elements(g)
 
     def test_star_has_no_empty_element(self):
         star = Graph.from_edge_list([("s", leaf) for leaf in "abcd"])
         fam = intersection_family(star)
-        assert fam.elements == {frozenset({star.labels.index("s")})}
+        assert fam.supports.keys() == {frozenset({star.labels.index("s")})}
         assert fam.supports[frozenset({star.labels.index("s")})] == frozenset(range(4))
-        assert frozenset() not in fam.elements
+        assert frozenset() not in fam.supports
 
     def test_single_clique_has_no_elements(self, k3):
         fam = intersection_family(k3)
-        assert fam.elements == frozenset() and fam.supports == {}
+        assert fam.supports == {}
         assert fam.height == 0
 
     def test_isolated_vertices(self):
         g = Graph(["a", "b", "c"], [(0, 1)])
         fam = intersection_family(g)
         assert fam.cliques == (frozenset({0, 1}), frozenset({2}))
-        assert fam.elements == {frozenset()} == brute_elements(g)
+        assert fam.supports.keys() == {frozenset()} == brute_elements(g)
         assert fam.supports[frozenset()] == frozenset({0, 1})
         lone = intersection_family(Graph(["a"], []))
-        assert lone.elements == frozenset()
+        assert lone.supports == {}
 
     @pytest.mark.parametrize(
         "g",
@@ -216,13 +216,13 @@ class TestIndexedFamily:
     def test_matches_the_old_fold(self, g):
         fam = intersection_family(g)
         elements, supports, supersets, height = old_family(g)
-        assert fam.elements == elements
+        assert fam.supports.keys() == elements
         assert fam.supports == supports
         # the fold's own table against one built from the scanned supports
         table = {sum(1 << i for i in sup): o for o, sup in supports.items()}
         table.update((1 << i, c) for i, c in enumerate(fam.cliques))
         assert fam.by_support == table
-        assert {o: set(fam.strict_supersets(o)) for o in fam.nontrivial} == supersets
+        assert {o: set(fam.supersets[o]) for o in fam.nontrivial} == supersets
         assert fam.height == height
 
 

@@ -167,9 +167,9 @@ def test_fast_candidates_match_brute_force_on_every_stage(g):
 @given(gnp)
 def test_intersection_family_is_a_fixpoint(g):
     fam = intersection_family(g)
-    for a in fam.elements:
+    for a in fam.supports:
         for c in fam.cliques:
-            assert a & c in fam.elements
+            assert a & c in fam.supports
 
 
 @settings(max_examples=40, **COMMON)
