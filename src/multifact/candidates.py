@@ -108,7 +108,7 @@ fast path.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import ContractError, IntegrityError, MultipartiteGraph, bit_indices
 
@@ -118,50 +118,25 @@ MODES = ("weak", "factor", "clean")
 BRUTE_FORCE_LIMIT = 16
 
 
-class Candidate:
-    """One admissible pair: ``upper`` above the cut, ``lower`` below it."""
+class Candidate(NamedTuple):
+    """One admissible pair: ``upper`` above the cut, ``lower`` below it.
 
-    __slots__ = ("upper", "full_set", "_u", "_l")
+    Each part is an ascending tuple of vertex ids, as every producer
+    builds it; the family order relies on that.
+    """
 
-    def __init__(self, upper: Iterable[int], lower: Iterable[int]):
-        self._fill(tuple(sorted(set(upper))), tuple(sorted(set(lower))))
+    upper: tuple[int, ...]
+    lower: tuple[int, ...]
 
-    @classmethod
-    def _from_sorted(cls, u: tuple[int, ...], l: tuple[int, ...]) -> "Candidate":
-        c = object.__new__(cls)
-        c._fill(u, l)
-        return c
 
-    def _fill(self, u: tuple[int, ...], l: tuple[int, ...]) -> None:
-        self._u = u
-        self._l = l
-        self.upper = frozenset(u)
-        self.full_set = self.upper.union(l)
-
-    @property
-    def lower(self) -> frozenset[int]:
-        """The lower part as a set, built on each access; hot paths read ``_l``."""
-        return frozenset(self._l)
-
-    def _order_key(self) -> tuple[int, tuple[int, ...]]:
-        # families are ordered by size (descending) then vertex list
-        u, l = self._u, self._l
-        if not u or not l or l[-1] < u[0]:
-            merged = l + u
-        else:
-            merged = tuple(sorted(self.full_set))
-        return (-len(merged), merged)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Candidate):
-            return NotImplemented
-        return self._u == other._u and self._l == other._l
-
-    def __hash__(self) -> int:
-        return hash((self._u, self._l))
-
-    def __repr__(self) -> str:
-        return f"Candidate(upper={list(self._u)}, lower={list(self._l)})"
+def _order_key(c: Candidate) -> tuple[int, tuple[int, ...]]:
+    """Families are ordered by size (descending) then vertex list."""
+    u, l = c
+    if not u or not l or l[-1] < u[0]:
+        merged = l + u
+    else:  # level ids interleave: a graph built by hand
+        merged = tuple(sorted(u + l))
+    return (-len(merged), merged)
 
 
 def _check_target(mode: str, k: int) -> None:
@@ -182,16 +157,11 @@ class CandidateFamily:
         _check_target(mode, k)
         self.mode = mode
         self.k = k
-        self.members: tuple[Candidate, ...] = tuple(
-            sorted(members, key=Candidate._order_key)
-        )
+        self.members: tuple[Candidate, ...] = tuple(sorted(members, key=_order_key))
 
     @property
     def effective(self) -> bool:
         return bool(self.members)
-
-    def full_sets(self) -> list[frozenset[int]]:
-        return [c.full_set for c in self.members]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -282,7 +252,7 @@ def _concept_candidates(
         for j in bits:
             extent &= attr[j]
         out.append(
-            Candidate._from_sorted(
+            Candidate(
                 tuple(map(uppers.__getitem__, bit_indices(extent))),
                 tuple(map(lowers.__getitem__, bits)),
             )
@@ -442,9 +412,7 @@ class ChainIndex:
                             f"{g.labels[x]}: no sibling ends in chain element {missing.args[0]}"
                         ) from None
                     upper.sort()
-                    members.append(
-                        Candidate._from_sorted(tuple(upper), head + sup[iv[-1]] + tail)
-                    )
+                    members.append(Candidate(tuple(upper), head + sup[iv[-1]] + tail))
         return CandidateFamily("clean", top + 1, members)
 
 
@@ -523,8 +491,7 @@ def brute_force_candidates(g: MultipartiteGraph, mode: str) -> CandidateFamily:
             for y in upper:
                 common &= g._adj[y]
             if _is_valid_candidate(g, mode, us, common):
-                c = Candidate(us, common)
-                by_set.setdefault(c.full_set, c)
+                by_set.setdefault(us | common, Candidate(upper, tuple(sorted(common))))
 
     maximal = [
         c

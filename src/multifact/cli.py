@@ -15,6 +15,7 @@ import sys
 from functools import cache
 
 from . import lattice
+from .candidates import MODES
 from .cliques import collapse_bipartite
 from .core import ContractError, Graph, IntegrityError
 from .fileio import (
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def series_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", choices=("weak", "factor", "clean"), default="clean")
+        p.add_argument("--mode", choices=MODES, default="clean")
         p.add_argument(
             "--cap",
             type=int,

@@ -36,7 +36,7 @@ class FactorStep:
 
     @property
     def added_count(self) -> int:
-        return sum(len(c.full_set) for c in self.family.members)
+        return sum(len(c.upper) + len(c.lower) for c in self.family.members)
 
     @property
     def effective(self) -> bool:
@@ -47,8 +47,8 @@ class FactorStep:
         """Edges cut between upper and lower parts.  Derived on demand."""
         out = set()
         for c in self.family.members:
-            for y in c._u:
-                for z in c._l:
+            for y in c.upper:
+                for z in c.lower:
                     out.add(canonical_edge(y, z))
         return frozenset(out)
 
@@ -57,7 +57,7 @@ class FactorStep:
         """Edges joining each new vertex to its candidate set.  Derived on demand."""
         out = set()
         for x, c in self.new_vertices.items():
-            for y in c.full_set:
+            for y in c.upper + c.lower:
                 out.add(canonical_edge(x, y))
         return frozenset(out)
 
@@ -95,20 +95,21 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
 
     for i, c in enumerate(family.members):
         x = base + i
-        if not c.upper <= top_level:
-            raise ContractError(f"candidate upper part {sorted(c.upper)} leaves the top level")
+        upper = frozenset(c.upper)
+        if not upper <= top_level:
+            raise ContractError(f"candidate upper part {list(c.upper)} leaves the top level")
         new_vertices[x] = c
-        adj2[x] = c.full_set
+        adj2[x] = full = upper.union(c.lower)
         labels[x] = f"L{family.k}#{i}"
         # a top-level member of a malformed lower part lands in the last
         # bucket and is reported by the edge check below
         below: list[list[int]] = [[] for _ in range(top + 1)]
-        for w in c._l:
+        for w in c.lower:
             below[level_of[w]].append(w)
         snap = {p: shared[tuple(below[p])] for p in range(top)}
-        snap[top] = c.upper
+        snap[top] = upper
         snaps[x] = snap
-        for v in c.full_set:
+        for v in full:
             joins[v].append(x)
 
     removed_count = 0
@@ -117,7 +118,7 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
         # way round; a cut edge that is absent means a malformed family
         old = adj[v]
         up = v in top_level
-        cut = set().union(*[new_vertices[x]._l if up else new_vertices[x]._u for x in xs])
+        cut = set().union(*[new_vertices[x].lower if up else new_vertices[x].upper for x in xs])
         if not cut <= old:
             raise IntegrityError(f"candidate family removes edges absent at vertex {v}")
         if up:

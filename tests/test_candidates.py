@@ -29,16 +29,6 @@ from multifact.candidates import ChainIndex, _closed_intents, candidate_family
 from multifact.cli import main
 
 
-def pairs(fam: CandidateFamily) -> set[tuple[frozenset[int], frozenset[int]]]:
-    return {(c.upper, c.lower) for c in fam}
-
-
-def test_candidate_normalises_input():
-    c = Candidate([3, 1, 1], [7, 2])
-    assert c.upper == {1, 3} and c.lower == {2, 7}
-    assert c.full_set == {1, 2, 3, 7}
-
-
 def test_family_contracts(diamond):
     with pytest.raises(ContractError):
         CandidateFamily("bogus", 2, [])
@@ -59,11 +49,25 @@ def test_diamond_incidence_single_candidate(diamond):
     weak = weak_candidates(b)
     factor = factor_candidates(b)
     # at k=2 every lower neighbour is at level 0, so the two families agree
-    assert pairs(weak) == pairs(factor) == pairs(brute_force_candidates(b, "weak"))
+    assert set(weak) == set(factor) == set(brute_force_candidates(b, "weak"))
     assert len(weak) == 1
     (c,) = weak
-    assert c.upper == frozenset(b.levels[1])
-    assert c.lower == {1, 2}  # b and c, the shared pair of the two triangles
+    assert c.upper == tuple(sorted(b.levels[1]))
+    assert c.lower == (1, 2)  # b and c, the shared pair of the two triangles
+
+
+def test_family_order_where_level_ids_interleave():
+    # the lower ids lie above the upper ones, so both members take the
+    # sorted branch of the order; by lower part then upper part the
+    # member on {2, 3} would come first
+    g = MultipartiteGraph(
+        [{10, 11, 12, 13}, {0, 1, 2, 3}],
+        {v: f"v{v}" for v in (0, 1, 2, 3, 10, 11, 12, 13)},
+        [(0, 12), (0, 13), (1, 12), (1, 13), (2, 10), (2, 11), (3, 10), (3, 11)],
+    )
+    want = (Candidate((0, 1), (12, 13)), Candidate((2, 3), (10, 11)))
+    for fam in (weak_candidates(g), factor_candidates(g), brute_force_candidates(g, "weak")):
+        assert fam.members == want
 
 
 def test_singleton_top_level_gives_nothing(diamond):
@@ -82,7 +86,7 @@ def test_clean_needs_three_levels(diamond, fix_chain):
     assert three.top == 2
     fam = clean_candidates(three)
     assert fam.effective
-    assert pairs(fam) == pairs(brute_force_candidates(three, "clean"))
+    assert set(fam) == set(brute_force_candidates(three, "clean"))
 
 
 def test_tripartite_in_weak_but_not_factor():
@@ -94,9 +98,9 @@ def test_tripartite_in_weak_but_not_factor():
         [(10, 0), (10, 1), (11, 0), (11, 1), (10, 5), (11, 5), (10, 6), (11, 7)],
     )
     weak = weak_candidates(g)
-    assert pairs(weak) == {(frozenset({10, 11}), frozenset({0, 1, 5}))}
+    assert set(weak) == {Candidate((10, 11), (0, 1, 5))}
     assert not factor_candidates(g).effective
-    assert pairs(weak) == pairs(brute_force_candidates(g, "weak"))
+    assert set(weak) == set(brute_force_candidates(g, "weak"))
     assert not brute_force_candidates(g, "factor").effective
 
 
@@ -119,26 +123,32 @@ def test_brute_force_guard():
         brute_force_candidates(wide, "weak")
 
 
-def _stages(seed: int):
-    """All (stage, mode) pairs of three runs of one small random graph."""
-    g = random_graph(8, 0.45, seed)
+def _runs(g: Graph, cap: int):
+    """All (stage, mode) pairs of g's weak and factor runs to ``cap`` and
+    its clean run, each stage one that the mode has a rule for."""
     for mode, run in (
-        ("weak", run_weak(g, cap=8)),
-        ("factor", run_factor(g, cap=8)),
+        ("weak", run_weak(g, cap=cap)),
+        ("factor", run_factor(g, cap=cap)),
         ("clean", run_clean(g)),
     ):
         for m in run.graphs:
-            if mode == "clean" and m.top + 1 < 3:
-                continue
-            if len(m.levels[m.top]) <= BRUTE_FORCE_LIMIT:
+            if mode != "clean" or m.top >= 2:
                 yield m, mode
+
+
+def _stages(seed: int):
+    """The (stage, mode) pairs of one small random graph's runs that the
+    brute force can take."""
+    for m, mode in _runs(random_graph(8, 0.45, seed), cap=8):
+        if len(m.levels[m.top]) <= BRUTE_FORCE_LIMIT:
+            yield m, mode
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_fast_path_equals_brute_force(seed):
     checked = 0
     for m, mode in _stages(seed):
-        assert pairs(candidate_family(m, mode)) == pairs(brute_force_candidates(m, mode))
+        assert set(candidate_family(m, mode)) == set(brute_force_candidates(m, mode))
         checked += 1
     assert checked
 
@@ -147,7 +157,7 @@ def test_fast_path_equals_brute_force(seed):
 def test_family_invariants(seed):
     for m, mode in _stages(seed):
         fam = candidate_family(m, mode)
-        fulls = fam.full_sets()
+        fulls = [frozenset(c.upper + c.lower) for c in fam]
         # antichain
         assert not any(a < b for a in fulls for b in fulls)
         top = m.top
@@ -157,20 +167,20 @@ def test_family_invariants(seed):
             common = lowers
             for y in c.upper:
                 common &= m.neighbours(y)
-            assert c.lower == common
+            assert c.lower == tuple(sorted(common))
             # ...and upper is closed within its admissible pool
             pool = {
-                x for x in m.levels[top] if c.lower <= m.neighbours(x)
+                x for x in m.levels[top] if common <= m.neighbours(x)
             }
             if mode == "clean" and top >= 3:  # level 3 is one class
                 ps = (0, *range(2, top - 1))
-                key = tuple(m.level_neighbours(next(iter(c.upper)), p) for p in ps)
+                key = tuple(m.level_neighbours(c.upper[0], p) for p in ps)
                 pool = {
                     x
                     for x in pool
                     if tuple(m.level_neighbours(x, p) for p in ps) == key
                 }
-            assert c.upper == pool
+            assert c.upper == tuple(sorted(pool))
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23, 24])
@@ -179,12 +189,8 @@ def test_depth_filter_commutes_with_maximalisation(seed):
         if mode != "weak":
             continue
         weak = weak_candidates(m)
-        deep = {
-            (c.upper, c.lower)
-            for c in weak
-            if len(c.lower & m.levels[m.top - 1]) >= 2
-        }
-        assert deep == pairs(factor_candidates(m))
+        deep = {c for c in weak if len(m.levels[m.top - 1].intersection(c.lower)) >= 2}
+        assert deep == set(factor_candidates(m))
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -346,6 +352,33 @@ BENCH_GRAPHS = _bench_graphs()
 @pytest.mark.parametrize("g", [g for _, g in BENCH_GRAPHS], ids=[n for n, _ in BENCH_GRAPHS])
 def test_chain_extension_on_the_bench_graphs(g):
     assert_chain_families_are_the_rule(g)
+
+
+def assert_producers_emit_ascending_tuples(g: Graph, cap: int) -> None:
+    """The walk in each mode, the brute force on small tops and the chain
+    index build both parts of every member strictly ascending."""
+
+    def check(fam: CandidateFamily) -> None:
+        for c in fam:
+            for part in c:
+                assert all(a < b for a, b in zip(part, part[1:])), c
+
+    for m, mode in _runs(g, cap):
+        check(candidate_family(m, mode))
+        if len(m.levels[m.top]) <= 13:
+            check(brute_force_candidates(m, mode))
+    for _, fam in clean_steps(g):
+        check(fam)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_producer_emits_ascending_tuples(seed):
+    assert_producers_emit_ascending_tuples(random_graph(8, 0.45, seed), cap=8)
+
+
+@pytest.mark.parametrize("g", [g for _, g in BENCH_GRAPHS], ids=[n for n, _ in BENCH_GRAPHS])
+def test_every_producer_emits_ascending_tuples_on_the_bench_graphs(g):
+    assert_producers_emit_ascending_tuples(g, cap=1)
 
 
 def test_a_chain_index_follows_one_run_level_by_level(fix_chain):

@@ -42,6 +42,17 @@ def brute_elements(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+def closed_elements(g: Graph) -> set[frozenset[int]]:
+    """``brute_elements`` for graphs with too many cliques to scan subsets:
+    each intersection of two or more cliques is one of pairwise ones."""
+    out = {a & b for a, b in combinations(maximal_cliques(g), 2)}
+    fresh = out
+    while fresh:
+        fresh = {a & b for a in fresh for b in out} - out
+        out |= fresh
+    return out
+
+
 def brute_chains(fam, length: int) -> set[tuple[frozenset[int], ...]]:
     out = {(o,) for o in fam.nontrivial}
     for _ in range(length - 1):
@@ -268,6 +279,28 @@ class TestChains:
         if fam.height:
             assert chains(fam, fam.height)
         assert not chains(fam, fam.height + 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        random_graph,
+        st.integers(min_value=4, max_value=12),
+        st.sampled_from([0.3, 0.5, 0.7]),
+        st.integers(min_value=0, max_value=10**6),
+    )
+)
+def test_hall_identity_on_the_clean_level_sizes(g):
+    # level k >= 2 holds one vertex per chain of k-1 nontrivial elements, so
+    # by Philip Hall's theorem the alternating sum of the level sizes is the
+    # Moebius number of the nontrivial elements with a bottom and a top added
+    nontrivial = sorted((o for o in closed_elements(g) if len(o) >= 2), key=len)
+    mu: dict[frozenset[int], int] = {}
+    for y in nontrivial:  # by size, so every z < y is done
+        mu[y] = -1 - sum(m for z, m in mu.items() if z < y)
+    sizes = run_clean(g).final.level_sizes()
+    alternating = -1 + sum((-1) ** k * n for k, n in enumerate(sizes) if k >= 2)
+    assert alternating == -1 - sum(mu.values())  # mu(0, 1) by the same recursion
 
 
 class TestCharacterisingSequence:

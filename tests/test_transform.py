@@ -66,7 +66,11 @@ def test_malformed_family_rejected(diamond, upper, lower, error, fragment):
     # level 1 holds the cliques {a,b,c} and {b,c,d}; a and d lie in one each
     b = clique_incidence(diamond)
     ids = {label: x for x, label in b.labels.items()}
-    c = Candidate([ids[v] for v in upper.split()], [ids[v] for v in lower.split()])
+
+    def part(names: str) -> tuple[int, ...]:
+        return tuple(sorted(ids[v] for v in names.split()))
+
+    c = Candidate(part(upper), part(lower))
     with pytest.raises(error, match=fragment):
         factorise(b, CandidateFamily("weak", 2, [c]))
 
