@@ -75,6 +75,8 @@ def _verdict(number: int, ok: bool, detail: str) -> str:
 class SweepResult:
     instances: int = 0
     decomp_seconds: float = 0.0
+    # the intersection family and the four checks run on each instance
+    verify_seconds: float = 0.0
     total_seconds: float = 0.0
     complete: bool = False
     stopped_at: tuple | None = None
@@ -117,6 +119,7 @@ def sweep() -> SweepResult:
                 res.max_vertices = max(res.max_vertices, run.final.vertex_count)
                 if run.status.kind != "terminated" or run.status.rank > max(n, 1):
                     res.rank_violations.append((n, p, seed, run.status))
+                t0 = time.perf_counter()
                 fam = intersection_family(g)
                 rep = verify_charseq_theorem(run, fam)
                 if not rep["pass"]:
@@ -136,6 +139,7 @@ def sweep() -> SweepResult:
                 res.roundtrip_steps += rt["checked"]
                 if not rt["pass"]:
                     res.roundtrip_failures.append((n, p, seed, rt["failures"]))
+                res.verify_seconds += time.perf_counter() - t0
     res.complete = True
     res.total_seconds = time.perf_counter() - started
     return res
@@ -233,15 +237,19 @@ def test_criterion_4_termination_at_desk_scale(sweep):
 
 def test_criterion_5_sequence_theorem_on_the_suite(sweep):
     ok = not sweep.theorem_failures and not sweep.bijection_failures
+    seconds = (
+        f"verification took {sweep.verify_seconds:.1f}s "
+        f"next to {sweep.decomp_seconds:.1f}s of decomposition"
+    )
     if ok:
-        detail = f"sequence properties and bijection held on {sweep.coverage()}"
+        detail = f"sequence properties and bijection held on {sweep.coverage()}; {seconds}"
     else:
         first = sweep.theorem_failures[0] if sweep.theorem_failures else None
         detail = (
             f"{len(sweep.theorem_failures)} of {sweep.instances} instances fail; "
             f"failing properties {sorted(sweep.failed_properties)} "
             f"(first: n={first[0]} p={first[1]} seed={first[2]} at {first[3][:4]}); "
-            f"bijection failures: {len(sweep.bijection_failures)}"
+            f"bijection failures: {len(sweep.bijection_failures)}; {seconds}"
         )
     line = _verdict(5, ok, detail)
     assert ok, line

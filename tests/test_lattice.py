@@ -23,6 +23,7 @@ from multifact import (
     verify_charseq_theorem,
     verify_v2_bijection,
 )
+from multifact import lattice
 from multifact.candidates import clean_candidates
 from multifact.lattice import _WITNESS_CAP, _Resolver
 from tests.conftest import DATA
@@ -267,6 +268,10 @@ class TestChains:
     @pytest.mark.parametrize("seed", [910, 911, 912, 913])
     def test_matches_brute_enumeration(self, seed):
         fam = intersection_family(random_graph(9, 0.55, seed))
+        # chains() and dfs_chains both take their order from the superset
+        # table, so the table itself must be in canonical order
+        for ps in (fam.nontrivial, *fam.supersets.values()):
+            assert list(ps) == sorted(ps, key=lambda s: (len(s), sorted(s)))
         for length in (1, 2, 3):
             assert set(chains(fam, length)) == brute_chains(fam, length)
         # the order too: the verify report lists missing chains in it
@@ -549,6 +554,23 @@ class TestVerifyTheorem:
         a = verify_charseq_theorem(run_clean(fix_chain))
         b = verify_charseq_theorem(run_clean(fix_chain))
         assert a == b
+
+    def test_only_a_failing_level_lists_chains(self, monkeypatch, diamond, fix_chain, k3):
+        # a passing level checks property 3 by count; the chains are listed
+        # only to name the ones a failing level misses, as the witnesses of
+        # test_dropped_level3_vertex
+        runs = [run_clean(g) for g in (diamond, fix_chain, k3, random_graph(12, 0.7, 828131))]
+        want = [verify_charseq_theorem(run) for run in runs]
+        run, fam, m, ids = fix_chain_final(fix_chain)
+        bad = dataclasses.replace(run, graphs=[without(m, ids["L3#0"])])
+
+        def no_chains(fam, length):
+            raise AssertionError(f"chains of length {length} listed")
+
+        monkeypatch.setattr(lattice, "chains", no_chains)
+        assert [verify_charseq_theorem(run) for run in runs] == want
+        with pytest.raises(AssertionError, match="length 2 listed"):
+            verify_charseq_theorem(bad, fam)
 
 
 def fix_chain_final(fix_chain):

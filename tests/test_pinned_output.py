@@ -1,4 +1,4 @@
-"""The mgraph bytes of a few runs, pinned by their sha256.
+"""The mgraph bytes of a few runs and a few verify reports, pinned by sha256.
 
 A change meant to keep behaviour must keep these hashes; a change to a
 rule changes them on purpose and says so.  The weak hash has stood since
@@ -15,9 +15,11 @@ from multifact import (
     random_graph,
     run_clean,
     run_weak,
+    serialise_edge_list,
     serialise_multipartite,
     suite_seed,
 )
+from multifact.cli import main
 from tests.conftest import DATA, DIAMOND, FIX_CHAIN
 
 
@@ -56,3 +58,27 @@ def test_clean_bytes(graph, want):
 def test_weak_bytes_of_the_apex_witness():
     run = run_weak(edges("apex_witness.edges"), cap=3)
     assert digest(run) == "3cbfed5067f7266bbf58aac1567307d926bff0b6d779ff08b57b95b82a5da7f8"
+
+
+@pytest.mark.parametrize(
+    "name, text, want",
+    [
+        ("apex_witness.edges", lambda: (DATA / "apex_witness.edges").read_text(),
+         "a788eb0889a3dabb3555518a196bbc64ef2cf8760f76ecd527eddb23483df6f7"),
+        ("membership_witness.edges", lambda: (DATA / "membership_witness.edges").read_text(),
+         "1ab56c47998f1a26111ef6c01ef5d868cc2d5f5fd02a33580bb902eb0bcf893e"),
+        ("diamond.edges", lambda: serialise_edge_list(Graph.from_edge_list(DIAMOND)),
+         "5e43fe2cf3dc6735e898ae00d51f72c2bde5a068312d4a83573b2e22ce1c0a0e"),
+        ("fix_chain.edges", lambda: serialise_edge_list(Graph.from_edge_list(FIX_CHAIN)),
+         "cc773ac0b87ee0619ae6f5e380e3e66b1ccad6339347323dc8e8a7704e5a5603"),
+        ("dense-828131.edges", lambda: serialise_edge_list(random_graph(12, 0.7, 828131)),
+         "45515bf3823677e8a8cf2031da914f0ccbbf148aab2f0400e93d9785ddbd86c8"),
+    ],
+    ids=["apex-witness", "membership-witness", "diamond", "fix-chain", "dense-828131"],
+)
+def test_verify_report_bytes(name, text, want, tmp_path, monkeypatch, capsys):
+    # the report names its input path, so each input is read by a fixed name
+    (tmp_path / name).write_text(text())
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want

@@ -1,8 +1,11 @@
 """Property tests: the declared invariants, driven by generated graphs."""
 
-from hypothesis import given, settings, strategies as st
+import random
+
+from hypothesis import example, given, settings, strategies as st
 
 from multifact import (
+    Graph,
     MultipartiteGraph,
     brute_force_candidates,
     chains,
@@ -20,11 +23,13 @@ from multifact import (
     run_weak,
     serialise_edge_list,
     serialise_multipartite,
+    verify_charseq_theorem,
     verify_v2_bijection,
     weak_candidates,
 )
 from multifact.candidates import candidate_family
 from multifact.lattice import characterising_sequence
+from tests.conftest import DATA
 from tests.test_cliques import brute_maximal_cliques
 
 # generated instances stay small: the oracles are exponential and weak-mode
@@ -208,9 +213,13 @@ def test_clean_levels_are_as_large_as_their_chain_sets(g):
     fam = intersection_family(g)
     m = run.final
     assert run.status.rank == fam.height + 1
+    report = verify_charseq_theorem(run, fam)["levels"]
     for k in range(2, max(m.top, fam.height + 1) + 1):
         built = len(m.levels[k]) if k <= m.top else 0
-        assert built == len(chains(fam, k - 1)), k
+        count = len(chains(fam, k - 1))
+        assert built == count, k
+        # the report counts the chains it does not list
+        assert report[k - 2]["chains"] == count, k
 
 
 def creation_lemma_violations(m: MultipartiteGraph) -> list[tuple[int, int, int]]:
@@ -320,3 +329,47 @@ def test_runs_are_deterministic(g):
     assert a.final == b.final
     assert a.status == b.status
     assert serialise_multipartite(a.final) == serialise_multipartite(b.final)
+
+
+def shape(m: MultipartiteGraph, source_name: dict[str, str], table: dict) -> set:
+    """m as (name, neighbour names) pairs, free of vertex ids and labels.
+
+    A level-0 vertex is named by ``source_name`` of its label; any other
+    vertex by its level and the names of its creation snapshot members,
+    interned in ``table`` so that runs sharing the table share names.
+    """
+    names: dict[int, object] = {x: source_name[m.labels[x]] for x in m.levels[0]}
+    for k in range(1, m.top + 1):
+        for x in sorted(m.levels[k]):
+            snap = m.snapshots[x].items()
+            key = (k, frozenset((j, frozenset(map(names.__getitem__, ys))) for j, ys in snap))
+            names[x] = table.setdefault(key, len(table))
+    # two members of one family have distinct full sets
+    assert len(set(names.values())) == m.vertex_count
+    return {(names[x], frozenset(map(names.__getitem__, m.neighbours(x)))) for x in m.vertices()}
+
+
+@settings(max_examples=150, **COMMON)
+@given(
+    st.builds(
+        random_graph,
+        st.integers(min_value=4, max_value=10),
+        st.sampled_from([0.3, 0.5, 0.7]),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    st.integers(min_value=0, max_value=10**6),
+)
+@example(parse_edge_list((DATA / "apex_witness.edges").read_text()), 0)
+def test_the_series_commutes_with_relabelling(g, seed):
+    # a relabelling changes the vertex ids every tie is broken by, so any
+    # tie-break that leaked into the output would show as a different shape
+    new = dict(zip(g.labels, random.Random(seed).sample(g.labels, len(g.labels))))
+    h = Graph.from_edge_list(
+        [(new[g.labels[u]], new[g.labels[v]]) for u, v in g.edges], extra_vertices=new.values()
+    )
+    old = {b: a for a, b in new.items()}
+    for series in (run_clean, lambda g: run_weak(g, cap=3), lambda g: run_factor(g, cap=3)):
+        a, b = series(g), series(h)
+        assert a.status == b.status
+        table: dict = {}
+        assert shape(a.final, {x: x for x in g.labels}, table) == shape(b.final, old, table)
