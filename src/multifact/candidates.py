@@ -26,11 +26,10 @@ family kept by a step consists of the inclusion-maximal candidate sets
 
 Each rule can be computed by a walk over classes of top-level vertices,
 each over its own neighbourhood: weak and factor pass the whole top level
-as one class, ``clean_candidates`` on a stage alone its equivalence classes
-(at level 3 the whole top level).  The walk enumerates closed vertex sets
-of the bipartite adjacency between a class and what it touches below, via
-intersections of the per-lower-vertex neighbour masks.  Three reductions
-keep it sound:
+as one class, clean mode its equivalence classes (at level 3 the whole top
+level).  The walk enumerates closed vertex sets of the bipartite adjacency
+between a class and what it touches below, via intersections of the
+per-lower-vertex neighbour masks.  Three reductions keep it sound:
 
 1. maximal candidate sets correspond exactly to closed pairs: two
    distinct closed pairs never produce nested candidate sets, and every
@@ -97,9 +96,12 @@ vertices, whose closed pairs with two of each are (supp(o), o) for o in P:
     from exactly one pair, its prefix's vertex and its last element, so
     level k+1 is in bijection with those chains.
 
-By (b), each member x_(pi, o) that (d) names exists, so a failed lookup in
-the index is an integrity error.  ``CandidateFamily`` sorts its members, so
-the chain path and the walk give one family in one order.
+The chain path groups the top level by the clean classes, as the walk
+does, so by (b) each class is one set of siblings x_(pi, o), and by (S1)
+each one's level-1 snapshot names its last element o.  By (b), each member
+x_(pi, o) that (d) names exists, so a failed lookup in the index is an
+integrity error.  ``CandidateFamily`` sorts its members, so the chain path
+and the walk give one family in one order.
 
 ``brute_force_candidates`` enumerates subsets literally and exists as an
 independent cross-check for small graphs; it must stay separate from the
@@ -289,13 +291,17 @@ def factor_candidates(g: MultipartiteGraph) -> CandidateFamily:
 def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
     """Group top-level vertices by neighbourhoods at level 0 and 2..top-2.
 
-    Levels are disjoint, so one set, the neighbourhood without levels 1 and
-    top-1, carries the same information as the per-level tuple.  A top
-    vertex is grouped in the step right after its creation, so its live
+    At level 2 the whole top level is one class: grouped by their level-0
+    neighbourhoods, the level-2 vertices would each be alone.  Levels are
+    disjoint, so one set, the neighbourhood without levels 1 and top-1,
+    carries the same information as the per-level tuple.  A top vertex is
+    grouped in the step right after its creation, so its live
     neighbourhoods still equal its creation snapshots; the key reads the
     live ones, which also serves graphs built by hand without snapshots.
     """
     top = g.top
+    if top < 3:
+        return [sorted(g.levels[top])]
     adj = g._adj
     drop = g.levels[1] | g.levels[top - 1]
     groups: dict[frozenset[int], list[int]] = {}
@@ -305,23 +311,19 @@ def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
 
 
 class ChainIndex:
-    """The chains of a clean run's top level, grown one level per step.
+    """The element order of a clean run, read once off its level 2.
 
     Elements are the level-2 vertices, numbered by size, so a strict
     superset has a larger number.  ``_ext[m]`` lists for each element e
     strictly above element m the interval [m, e] as ascending numbers, so
-    it starts at m and ends at e, and ``_sup[e]`` is e's level-1 part, the
-    sorted supports.  Of the top level the index keeps each vertex's last
-    element (``_last``) and the vertices grouped by prefix parent, each
-    group keyed by last element (``_kids``).  One index follows one run:
-    it starts at the stage that tops out at level 2, and each later stage
-    adds one level, read off the new top vertices' upper snapshots.
+    it starts at m and ends at e, ``_sup[e]`` is e's level-1 part, the
+    sorted supports, and ``_elem`` maps each element's support set to its
+    number.  Nothing of a later top level is kept: by (b) of the
+    chain-extension lemma its clean classes are the sibling groups, and by
+    (S1) a vertex's level-1 snapshot names its last element.
     """
 
-    __slots__ = ("_top", "_ext", "_sup", "_last", "_kids")
-
-    def __init__(self) -> None:
-        self._top = 0  # the top level indexed so far; 0 before the first stage
+    __slots__ = ("_ext", "_sup", "_elem")
 
     def _start(self, g: MultipartiteGraph) -> None:
         snaps = g.snapshots
@@ -347,56 +349,37 @@ class ChainIndex:
             for m, up in enumerate(ups)
         ]
         self._sup = [tuple(sorted(snaps[v][1])) for v in elems]
-        self._last = {v: i for i, v in enumerate(elems)}
-        self._kids = {None: dict(enumerate(elems))}
-
-    def _grow(self, g: MultipartiteGraph) -> None:
-        # a new vertex's upper snapshot is an interval [m, e] of siblings:
-        # the one ending in m is its parent, and e is its last element
-        top = g.top
-        snaps = g.snapshots
-        last = self._last
-        grown: dict[int, int] = {}
-        kids: dict[int, dict[int, int]] = {}
-        for x in g.levels[top]:
-            upper = snaps[x][top - 1]
-            try:
-                parent = min(upper, key=last.__getitem__)
-                e = last[max(upper, key=last.__getitem__)]
-            except KeyError as missing:
-                raise IntegrityError(
-                    f"{g.labels[x]}: upper vertex {missing.args[0]} is not in the chain index"
-                ) from None
-            grown[x] = e
-            at = kids.get(parent)
-            if at is None:
-                kids[parent] = {e: x}
-            else:
-                at[e] = x
-        self._last = grown
-        self._kids = kids
+        self._elem = {snaps[v][1]: i for i, v in enumerate(elems)}
 
     def family(self, g: MultipartiteGraph) -> CandidateFamily:
-        """The clean family of g, a stage of the run this index follows.
+        """The clean family of g, a stage of the run this index started on.
 
-        One candidate per top vertex t and element e strictly above t's
-        last element m: the siblings of t ending in [m, e] above, and
-        t's creation neighbourhood at levels 0 and 2..top-1 with e's
-        supports below.  Levels occupy ascending id blocks, so the lower
-        part is sorted as concatenated.
+        The index reads its tables at the stage that tops out at level 2.
+        Each clean class of g is one sibling group (b), and each member's
+        level-1 snapshot is the support set of its last element m (S1).
+        One candidate per top vertex t and element e strictly above m:
+        the siblings of t ending in [m, e] above, and t's creation
+        neighbourhood at levels 0 and 2..top-1 with e's supports below.
+        Levels occupy ascending id blocks, so the lower part is sorted as
+        concatenated.
         """
         top = g.top
         if top == 2:
             self._start(g)
-        elif top == self._top + 1:
-            self._grow(g)
-        else:
-            raise ContractError(f"the chain index stands at level {self._top}, not {top - 1}")
-        self._top = top
+        elif not hasattr(self, "_elem"):
+            raise ContractError("a chain index starts at the stage that tops out at level 2")
         snaps = g.snapshots
-        ext, sup = self._ext, self._sup
+        ext, sup, elem = self._ext, self._sup, self._elem
         members: list[Candidate] = []
-        for sib in self._kids.values():
+        for cls in _clean_classes(g):
+            sib: dict[int, int] = {}
+            for x in cls:
+                m = elem.get(snaps[x][1])
+                if m is None:
+                    raise IntegrityError(
+                        f"{g.labels[x]}: level-1 snapshot supports no chain element"
+                    )
+                sib[m] = x
             for m, x in sib.items():
                 ivs = ext[m]
                 if not ivs:
@@ -419,19 +402,17 @@ class ChainIndex:
 def clean_candidates(g: MultipartiteGraph, chains: ChainIndex | None = None) -> CandidateFamily:
     """Factor candidates meeting levels 1 and 0 twice, one class at a time.
 
-    At level 3 the whole top level is one class: grouped by their level-0
-    neighbourhoods, the level-2 vertices would each be alone.  Given the
-    ``chains`` of the run g is a stage of, the family is read off them
-    instead of walked (the chain-extension lemma in the module docstring).
+    Given the ``chains`` of the run g is a stage of, the family is read off
+    them instead of walked (the chain-extension lemma in the module
+    docstring).
     """
     top = g.top
     _check_target("clean", top + 1)
     if chains is not None:
         return chains.family(g)
-    classes = _clean_classes(g) if top >= 3 else [sorted(g.levels[top])]
     # the level below the top first, as it keys the index; at level 3 it is level 1
     within = [g.levels[p] for p in sorted({top - 1, 1, 0}, reverse=True)]
-    return _family(g, "clean", classes, *within)
+    return _family(g, "clean", _clean_classes(g), *within)
 
 
 def candidate_family(g: MultipartiteGraph, mode: str) -> CandidateFamily:

@@ -152,9 +152,9 @@ def run_clean(g: Graph, low_memory: bool = False) -> SeriesRun:
     rule (not levels 2 and 3 by the factor rule: see ``candidates``), so
     level k is in bijection with the chains of length k-1 that
     ``lattice.verify_charseq_theorem`` checks.  The clean families are not
-    walked: a ``ChainIndex`` follows the run, and each family extends every
-    top vertex's chain by each element above its last one (the
-    chain-extension lemma in ``candidates``).  The run must terminate
+    walked: a ``ChainIndex`` reads the element order off level 2, and each
+    family extends every top vertex's chain by each element above its last
+    one (the chain-extension lemma in ``candidates``).  The run must terminate
     with rank at most the vertex count (at least 1 for the empty graph);
     anything else is a pipeline bug.  That bound is the run's step cap, so
     a broken family stops there instead of running on.

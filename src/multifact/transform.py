@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import ContractError, IntegrityError, MultipartiteGraph, canonical_edge
-from .candidates import Candidate, CandidateFamily
+from .candidates import CandidateFamily
 
 
 class _Interned(dict):
@@ -31,7 +31,7 @@ class FactorStep:
 
     family: CandidateFamily
     after: MultipartiteGraph
-    new_vertices: dict[int, Candidate]
+    new_vertices: range  # the new vertex ids, one per family member in order
     removed_count: int
 
     @property
@@ -56,7 +56,7 @@ class FactorStep:
     def added_edges(self) -> frozenset[tuple[int, int]]:
         """Edges joining each new vertex to its candidate set.  Derived on demand."""
         out = set()
-        for x, c in self.new_vertices.items():
+        for x, c in zip(self.new_vertices, self.family.members):
             for y in c.upper + c.lower:
                 out.add(canonical_edge(x, y))
         return frozenset(out)
@@ -76,14 +76,15 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
             f"family targets level {family.k} but the graph tops out at level {top}"
         )
     if not family.members:
-        return FactorStep(family, g, {}, 0)
+        return FactorStep(family, g, range(0), 0)
 
     level_of = g._level_of
     base = max(level_of) + 1
     top_level = g.levels[top]
     adj = g._adj
 
-    new_vertices: dict[int, Candidate] = {}
+    members = family.members
+    new_vertices = range(base, base + len(members))
     adj2 = dict(adj)
     labels = dict(g.labels)
     snaps = dict(g.snapshots)
@@ -93,12 +94,11 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
     # the new vertices each old vertex joins
     joins: defaultdict[int, list[int]] = defaultdict(list)
 
-    for i, c in enumerate(family.members):
+    for i, c in enumerate(members):
         x = base + i
         upper = frozenset(c.upper)
         if not upper <= top_level:
             raise ContractError(f"candidate upper part {list(c.upper)} leaves the top level")
-        new_vertices[x] = c
         adj2[x] = full = upper.union(c.lower)
         labels[x] = f"L{family.k}#{i}"
         # a top-level member of a malformed lower part lands in the last
@@ -118,14 +118,16 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
         # way round; a cut edge that is absent means a malformed family
         old = adj[v]
         up = v in top_level
-        cut = set().union(*[new_vertices[x].lower if up else new_vertices[x].upper for x in xs])
+        cut = set().union(
+            *[members[x - base].lower if up else members[x - base].upper for x in xs]
+        )
         if not cut <= old:
             raise IntegrityError(f"candidate family removes edges absent at vertex {v}")
         if up:
             removed_count += len(cut)
         adj2[v] = (old - cut).union(xs)
 
-    levels2 = g.levels + (frozenset(range(base, base + len(family.members))),)
+    levels2 = g.levels + (frozenset(new_vertices),)
     after = MultipartiteGraph._assemble(levels2, labels, adj2, snaps)
     return FactorStep(family, after, new_vertices, removed_count)
 

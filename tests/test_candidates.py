@@ -24,7 +24,7 @@ from multifact import (
     serialise_edge_list,
     weak_candidates,
 )
-from multifact import series
+from multifact import candidates, series
 from multifact.candidates import ChainIndex, _closed_intents, candidate_family
 from multifact.cli import main
 
@@ -381,45 +381,64 @@ def test_every_producer_emits_ascending_tuples_on_the_bench_graphs(g):
     assert_producers_emit_ascending_tuples(g, cap=1)
 
 
-def test_a_chain_index_follows_one_run_level_by_level(fix_chain):
+def test_one_chain_index_serves_every_stage_of_its_run():
+    # the index keeps only the element order, so after level 2 it serves
+    # the later stages of its run in any order
+    stages = run_clean(random_graph(12, 0.7, 828131)).graphs
+    assert [m.top for m in stages] == [1, 2, 3, 4, 5]
+    chains = ChainIndex()
+    assert chains.family(stages[1]).members == clean_candidates(stages[1]).members
+    for m in reversed(stages[2:]):
+        assert chains.family(m).members == clean_candidates(m).members
+
+
+def test_a_fresh_chain_index_starts_at_level_2(fix_chain):
     stages = run_clean(fix_chain).graphs
     assert [m.top for m in stages] == [1, 2, 3]
-    chains = ChainIndex()
-    with pytest.raises(ContractError, match="stands at level 0, not 2"):
-        chains.family(stages[2])
-    for m in stages[1:]:
-        assert chains.family(m).members == clean_candidates(m).members
-    with pytest.raises(ContractError, match="stands at level 3, not 2"):
-        chains.family(stages[2])
+    with pytest.raises(ContractError, match="starts at the stage that tops out at level 2"):
+        ChainIndex().family(stages[2])
 
 
-def _lose(slot: str):
-    """A ``ChainIndex._start`` that drops the largest key of one of its maps."""
-    start = ChainIndex._start
+def _lose(what: str):
+    """Patch one lookup of the chain path to miss the largest element.
 
-    def start_and_lose(self, g):
-        start(self, g)
-        state = getattr(self, slot)
-        if slot == "_kids":
-            (state,) = state.values()  # level 2 is one sibling group
-        del state[max(state)]
+    ``element``: ``ChainIndex._start`` drops that element's support set from
+    ``_elem``.  ``sibling``: the level-2 clean class loses that element's
+    vertex, as if the stage had lost it.
+    """
+    if what == "element":
+        start = ChainIndex._start
 
-    return start_and_lose
+        def start_and_lose(self, g):
+            start(self, g)
+            del self._elem[max(self._elem, key=self._elem.get)]
+
+        return ChainIndex, "_start", start_and_lose
+    group = candidates._clean_classes
+
+    def group_and_lose(g):
+        classes = group(g)
+        if g.top == 2:
+            (cls,) = classes  # level 2 is one class
+            cls.remove(max(cls, key=lambda x: len(g.snapshots[x][0])))
+        return classes
+
+    return candidates, "_clean_classes", group_and_lose
 
 
 @pytest.mark.parametrize(
-    "slot, message",
+    "what, message",
     [
-        ("_kids", "no sibling ends in chain element"),
-        ("_last", "is not in the chain index"),
+        ("element", "level-1 snapshot supports no chain element"),
+        ("sibling", "no sibling ends in chain element"),
     ],
 )
 def test_a_failed_chain_lookup_is_one_integrity_error_line(
-    slot, message, fix_chain, monkeypatch, tmp_path, capsys
+    what, message, fix_chain, monkeypatch, tmp_path, capsys
 ):
     # fix-chain has elements {a,b} < {a,b,c}: the level-3 step needs both
-    # level-2 vertices as siblings, and the level-4 step reads both again
-    monkeypatch.setattr(ChainIndex, "_start", _lose(slot))
+    # level-2 vertices as siblings, each found by its last element
+    monkeypatch.setattr(*_lose(what))
     with pytest.raises(IntegrityError, match=message):
         run_clean(fix_chain)
     path = tmp_path / "fix-chain.edges"

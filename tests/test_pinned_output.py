@@ -1,4 +1,5 @@
-"""The mgraph bytes of a few runs and a few verify reports, pinned by sha256.
+"""The mgraph bytes of a few runs, a few verify reports and a few stats
+records, pinned by sha256.
 
 A change meant to keep behaviour must keep these hashes; a change to a
 rule changes them on purpose and says so.  The weak hash has stood since
@@ -14,6 +15,7 @@ from multifact import (
     parse_edge_list,
     random_graph,
     run_clean,
+    run_factor,
     run_weak,
     serialise_edge_list,
     serialise_multipartite,
@@ -58,6 +60,44 @@ def test_clean_bytes(graph, want):
 def test_weak_bytes_of_the_apex_witness():
     run = run_weak(edges("apex_witness.edges"), cap=3)
     assert digest(run) == "3cbfed5067f7266bbf58aac1567307d926bff0b6d779ff08b57b95b82a5da7f8"
+
+
+def test_factor_bytes():
+    run = run_factor(random_graph(9, 0.6, 5), cap=3)
+    assert digest(run) == "386c088b0c6471d4e0ec6ffd095e9177fbc16ea664545044181b1db2ca0cf3ae"
+
+
+@pytest.mark.parametrize(
+    "name, text, args, code, want",
+    [
+        ("fix_chain.edges", lambda: serialise_edge_list(Graph.from_edge_list(FIX_CHAIN)),
+         ["--mode", "clean"], 0,
+         "2bee45523dbe0639f3b5e9e968d8644314537dcf216e44dc64d598e55e54880e"),
+        ("fix_chain.edges", lambda: serialise_edge_list(Graph.from_edge_list(FIX_CHAIN)),
+         ["--mode", "factor", "--cap", "3"], 0,
+         "297e1b26c544bebb5296f96b4bffe95c5bcc4a7441d86e53db020a1081686d73"),
+        ("fix_chain.edges", lambda: serialise_edge_list(Graph.from_edge_list(FIX_CHAIN)),
+         ["--mode", "weak", "--cap", "3"], 0,
+         "38ee5fec9790cdd99f628a80008ba32fc0e043af81385d8ee4cf5c34bbf5a406"),
+        ("dense-9.edges", lambda: serialise_edge_list(random_graph(9, 0.6, 5)),
+         ["--mode", "clean"], 0,
+         "891b70260063928495178723f87d8a337d341325f6ac1ac74f8c4960d0f88561"),
+        ("dense-9.edges", lambda: serialise_edge_list(random_graph(9, 0.6, 5)),
+         ["--mode", "factor", "--cap", "3"], 0,
+         "4be0a0ca126f870bcc306d3c0873a8f3362b050005d544d2f55dcb45f4673cd0"),
+        ("dense-9.edges", lambda: serialise_edge_list(random_graph(9, 0.6, 5)),
+         ["--mode", "weak", "--cap", "3"], 2,
+         "518583055c354b020a217f01919456a147913e9a111084c8f1cc429d1c6a2207"),
+    ],
+    ids=["fix-chain-clean", "fix-chain-factor", "fix-chain-weak", "dense-9-clean",
+         "dense-9-factor", "dense-9-weak"],
+)
+def test_stats_bytes(name, text, args, code, want, tmp_path, monkeypatch, capsys):
+    # stats keeps its timings on stderr, so its stdout is fixed bytes
+    (tmp_path / name).write_text(text())
+    monkeypatch.chdir(tmp_path)
+    assert main(["stats", name, *args]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize(

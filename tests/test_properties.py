@@ -36,16 +36,31 @@ from tests.test_cliques import brute_maximal_cliques
 # level growth is explosive, so caps and sizes here are deliberate
 gnp = st.builds(
     random_graph,
-    st.integers(min_value=0, max_value=10),
+    st.sampled_from(range(3, 11)),  # flatter over n than integers, which favour 3
     st.sampled_from([0.2, 0.4, 0.6, 0.8]),
     st.integers(min_value=0, max_value=10**6),
 )
+
+# the graphs ``gnp`` leaves out: no vertex, one, two apart and two joined
+TINY = (Graph([], []), Graph(["a"], []), Graph(["a", "b"], []), Graph(["a", "b"], [(0, 1)]))
+
+
+def tiny_examples(**rest):
+    """Run the test on each graph of TINY as ``g``, beside ``rest``, as explicit examples."""
+
+    def add(test):
+        for g in TINY:
+            test = example(g=g, **rest)(test)
+        return test
+
+    return add
 
 COMMON = dict(deadline=None, derandomize=True)
 
 
 @settings(max_examples=60, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_every_stage_is_a_partition_without_intra_level_edges(g):
     run = run_clean(g)
     for m in run.graphs:
@@ -56,6 +71,7 @@ def test_every_stage_is_a_partition_without_intra_level_edges(g):
 
 @settings(max_examples=40, **COMMON)
 @given(gnp, st.integers(min_value=1, max_value=3))
+@tiny_examples(cap=1)
 def test_top_vertices_still_match_their_snapshots(g, cap):
     # the clean classes key on live neighbourhoods, which is sound because
     # a top level is grouped right after its creation, before anything
@@ -69,6 +85,7 @@ def test_top_vertices_still_match_their_snapshots(g, cap):
 
 @settings(max_examples=60, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_snapshots_never_change_once_recorded(g):
     run = run_clean(g)
     for earlier, later in zip(run.graphs, run.graphs[1:]):
@@ -78,6 +95,7 @@ def test_snapshots_never_change_once_recorded(g):
 
 @settings(max_examples=60, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_projection_inverts_every_effective_step(g):
     run = run_clean(g)
     for before, after in zip(run.graphs, run.graphs[1:]):
@@ -86,6 +104,7 @@ def test_projection_inverts_every_effective_step(g):
 
 @settings(max_examples=30, **COMMON)
 @given(gnp, st.integers(min_value=1, max_value=3))
+@tiny_examples(cap=1)
 def test_projection_inverts_weak_steps_too(g, cap):
     run = run_weak(g, cap=cap)
     for before, after in zip(run.graphs, run.graphs[1:]):
@@ -94,6 +113,7 @@ def test_projection_inverts_weak_steps_too(g, cap):
 
 @settings(max_examples=30, **COMMON)
 @given(gnp, st.integers(min_value=1, max_value=3))
+@tiny_examples(cap=1)
 def test_step_records_match_the_stages_they_join(g, cap):
     # every figure of a step record, recounted from the two stages it joins
     for run in (run_weak(g, cap=cap), run_factor(g, cap=cap), run_clean(g)):
@@ -112,6 +132,7 @@ def test_step_records_match_the_stages_they_join(g, cap):
 
 @settings(max_examples=80, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_clean_series_terminates_within_the_vertex_count(g):
     run = run_clean(g)
     assert run.status.kind == "terminated"
@@ -120,6 +141,7 @@ def test_clean_series_terminates_within_the_vertex_count(g):
 
 @settings(max_examples=40, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_all_modes_agree_on_stage_two(g):
     clean = run_clean(g).graphs
     if len(clean) < 2:
@@ -129,6 +151,7 @@ def test_all_modes_agree_on_stage_two(g):
 
 @settings(max_examples=40, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_candidate_effectiveness_nests_across_modes(g):
     for m in run_clean(g).graphs:
         if m.top + 1 >= 3 and candidate_family(m, "clean").effective:
@@ -139,6 +162,7 @@ def test_candidate_effectiveness_nests_across_modes(g):
 
 @settings(max_examples=60, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_clique_enumeration_matches_subset_scan(g):
     fast = set(maximal_cliques(g))
     assert fast == brute_maximal_cliques(g)
@@ -147,12 +171,14 @@ def test_clique_enumeration_matches_subset_scan(g):
 
 @settings(max_examples=60, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_collapse_inverts_incidence(g):
     assert collapse_bipartite(clique_incidence(g)) == g
 
 
 @settings(max_examples=25, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_fast_candidates_match_brute_force_on_every_stage(g):
     for mode in ("weak", "factor", "clean"):
         run = run_weak(g, cap=2) if mode == "weak" else (
@@ -170,6 +196,7 @@ def test_fast_candidates_match_brute_force_on_every_stage(g):
 
 @settings(max_examples=40, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_intersection_family_is_a_fixpoint(g):
     fam = intersection_family(g)
     for a in fam.supports:
@@ -179,6 +206,7 @@ def test_intersection_family_is_a_fixpoint(g):
 
 @settings(max_examples=40, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_level2_maps_onto_the_nontrivial_elements(g):
     run = run_clean(g)
     assert verify_v2_bijection(run)["pass"]
@@ -186,6 +214,7 @@ def test_level2_maps_onto_the_nontrivial_elements(g):
 
 @settings(max_examples=40, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_sequences_have_full_length_and_grow_strictly(g):
     run = run_clean(g)
     fam = intersection_family(g)
@@ -245,6 +274,7 @@ small_gnp = st.builds(
 
 @settings(max_examples=100, **COMMON)
 @given(small_gnp, st.integers(min_value=1, max_value=3), gnp, st.integers(min_value=1, max_value=4))
+@tiny_examples(weak_g=TINY[0], weak_cap=1, factor_cap=1)
 def test_creation_lemma_on_every_stage(weak_g, weak_cap, g, factor_cap):
     # the lemma of the lattice module: whatever the rule, a vertex's level-j
     # neighbours carry at least its own cliques
@@ -262,6 +292,7 @@ def test_creation_lemma_on_every_stage(weak_g, weak_cap, g, factor_cap):
 
 @settings(max_examples=60, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_edge_list_text_roundtrip(g):
     text = serialise_edge_list(g)
     parsed = parse_edge_list(text)
@@ -274,6 +305,7 @@ def test_edge_list_text_roundtrip(g):
 
 @settings(max_examples=40, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_multipartite_roundtrip_on_pipeline_stages(g):
     for m in run_clean(g).graphs:
         text = serialise_multipartite(m)
@@ -324,6 +356,7 @@ def test_multipartite_roundtrip_on_hand_built_graphs(m):
 
 @settings(max_examples=30, **COMMON)
 @given(gnp)
+@tiny_examples()
 def test_runs_are_deterministic(g):
     a, b = run_clean(g), run_clean(g)
     assert a.final == b.final
