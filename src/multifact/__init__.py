@@ -3,7 +3,6 @@
 from .candidates import (
     BRUTE_FORCE_LIMIT,
     Candidate,
-    CandidateFamily,
     brute_force_candidates,
     clean_candidates,
     factor_candidates,
@@ -47,7 +46,6 @@ __all__ = [
     "ApexWitness",
     "BRUTE_FORCE_LIMIT",
     "Candidate",
-    "CandidateFamily",
     "ContractError",
     "DEFAULT_CAP",
     "FactorStep",

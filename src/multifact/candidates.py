@@ -100,8 +100,8 @@ The chain path groups the top level by the clean classes, as the walk
 does, so by (b) each class is one set of siblings x_(pi, o), and by (S1)
 each one's level-1 snapshot names its last element o.  By (b), each member
 x_(pi, o) that (d) names exists, so a failed lookup in the index is an
-integrity error.  ``CandidateFamily`` sorts its members, so the chain path
-and the walk give one family in one order.
+integrity error.  Every producer orders its family by ``_order_key``, so
+the chain path and the walk give one family in one order.
 
 ``brute_force_candidates`` enumerates subsets literally and exists as an
 independent cross-check for small graphs; it must stay separate from the
@@ -110,7 +110,7 @@ fast path.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import ContractError, IntegrityError, MultipartiteGraph, bit_indices
 
@@ -150,29 +150,9 @@ def _check_target(mode: str, k: int) -> None:
         raise ContractError(f"{mode} candidates need at least {need} existing levels")
 
 
-class CandidateFamily:
-    """The ordered family a factorising step will spend."""
-
-    __slots__ = ("mode", "k", "members")
-
-    def __init__(self, mode: str, k: int, members: Iterable[Candidate]):
-        _check_target(mode, k)
-        self.mode = mode
-        self.k = k
-        self.members: tuple[Candidate, ...] = tuple(sorted(members, key=_order_key))
-
-    @property
-    def effective(self) -> bool:
-        return bool(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Candidate]:
-        return iter(self.members)
-
-    def __repr__(self) -> str:
-        return f"CandidateFamily(mode={self.mode!r}, k={self.k}, size={len(self.members)})"
+def _ordered(members: Iterable[Candidate]) -> tuple[Candidate, ...]:
+    """A family: the members in ``_order_key`` order, as a step spends them."""
+    return tuple(sorted(members, key=_order_key))
 
 
 def _closed_intents(
@@ -263,8 +243,8 @@ def _concept_candidates(
 
 
 def _family(
-    g: MultipartiteGraph, mode: str, classes: list[list[int]], *within: frozenset[int]
-) -> CandidateFamily:
+    g: MultipartiteGraph, classes: list[list[int]], *within: frozenset[int]
+) -> tuple[Candidate, ...]:
     """Walk each ascending class of two or more top vertices over its own
     neighbourhood; a lower vertex no member touches lies in no intent."""
     adj = g._adj
@@ -273,19 +253,19 @@ def _family(
         if len(cls) > 1:
             seen = set().union(*[adj[x] for x in cls])
             members.extend(_concept_candidates(g, cls, sorted(seen), within))
-    return CandidateFamily(mode, g.top + 1, members)
+    return _ordered(members)
 
 
-def weak_candidates(g: MultipartiteGraph) -> CandidateFamily:
+def weak_candidates(g: MultipartiteGraph) -> tuple[Candidate, ...]:
     """Maximal candidates with no mode constraint, for the next level."""
     _check_target("weak", g.top + 1)
-    return _family(g, "weak", [sorted(g.levels[g.top])])
+    return _family(g, [sorted(g.levels[g.top])])
 
 
-def factor_candidates(g: MultipartiteGraph) -> CandidateFamily:
+def factor_candidates(g: MultipartiteGraph) -> tuple[Candidate, ...]:
     """Maximal candidates whose lower part meets the level below the top twice."""
     _check_target("factor", g.top + 1)
-    return _family(g, "factor", [sorted(g.levels[g.top])], g.levels[g.top - 1])
+    return _family(g, [sorted(g.levels[g.top])], g.levels[g.top - 1])
 
 
 def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
@@ -351,7 +331,7 @@ class ChainIndex:
         self._sup = [tuple(sorted(snaps[v][1])) for v in elems]
         self._elem = {snaps[v][1]: i for i, v in enumerate(elems)}
 
-    def family(self, g: MultipartiteGraph) -> CandidateFamily:
+    def family(self, g: MultipartiteGraph) -> tuple[Candidate, ...]:
         """The clean family of g, a stage of the run this index started on.
 
         The index reads its tables at the stage that tops out at level 2.
@@ -396,10 +376,12 @@ class ChainIndex:
                         ) from None
                     upper.sort()
                     members.append(Candidate(tuple(upper), head + sup[iv[-1]] + tail))
-        return CandidateFamily("clean", top + 1, members)
+        return _ordered(members)
 
 
-def clean_candidates(g: MultipartiteGraph, chains: ChainIndex | None = None) -> CandidateFamily:
+def clean_candidates(
+    g: MultipartiteGraph, chains: ChainIndex | None = None
+) -> tuple[Candidate, ...]:
     """Factor candidates meeting levels 1 and 0 twice, one class at a time.
 
     Given the ``chains`` of the run g is a stage of, the family is read off
@@ -412,10 +394,10 @@ def clean_candidates(g: MultipartiteGraph, chains: ChainIndex | None = None) -> 
         return chains.family(g)
     # the level below the top first, as it keys the index; at level 3 it is level 1
     within = [g.levels[p] for p in sorted({top - 1, 1, 0}, reverse=True)]
-    return _family(g, "clean", _clean_classes(g), *within)
+    return _family(g, _clean_classes(g), *within)
 
 
-def candidate_family(g: MultipartiteGraph, mode: str) -> CandidateFamily:
+def candidate_family(g: MultipartiteGraph, mode: str) -> tuple[Candidate, ...]:
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
     return {"weak": weak_candidates, "factor": factor_candidates, "clean": clean_candidates}[mode](g)
@@ -447,7 +429,7 @@ def _is_valid_candidate(
     return True
 
 
-def brute_force_candidates(g: MultipartiteGraph, mode: str) -> CandidateFamily:
+def brute_force_candidates(g: MultipartiteGraph, mode: str) -> tuple[Candidate, ...]:
     """Literal subset enumeration of the definition.  Small graphs only.
 
     Walks every upper subset; for a fixed upper part only the full common
@@ -457,8 +439,7 @@ def brute_force_candidates(g: MultipartiteGraph, mode: str) -> CandidateFamily:
     """
     from itertools import combinations
 
-    k = g.top + 1
-    _check_target(mode, k)
+    _check_target(mode, g.top + 1)
     uppers = sorted(g.levels[g.top])
     lowers = frozenset().union(*g.levels[:-1])
     if len(uppers) > BRUTE_FORCE_LIMIT:
@@ -479,4 +460,4 @@ def brute_force_candidates(g: MultipartiteGraph, mode: str) -> CandidateFamily:
         for s, c in by_set.items()
         if not any(s < t for t in by_set if t != s)
     ]
-    return CandidateFamily(mode, k, maximal)
+    return _ordered(maximal)

@@ -47,7 +47,7 @@ class Graph:
     __slots__ = ("labels", "_adj", "_cliques")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
-        self.labels: tuple[str, ...] = tuple(labels)
+        self.labels: tuple[str, ...] = tuple(map(str, labels))
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ContractError("vertex labels must be unique")
@@ -156,7 +156,8 @@ class MultipartiteGraph:
                 raise ContractError(f"vertex {x} is at level 0 and cannot carry snapshots")
             entry: dict[int, frozenset[int]] = {}
             for j, members in per_level.items():
-                j = int(j)
+                if not isinstance(j, int):
+                    raise ContractError(f"snapshot level {j!r} of vertex {x} is not an integer")
                 if not 0 <= j < lx:
                     raise ContractError(
                         f"snapshot level {j} out of range for vertex {x} at level {lx}"

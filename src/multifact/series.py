@@ -6,7 +6,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .candidates import (
-    CandidateFamily,
     ChainIndex,
     clean_candidates,
     factor_candidates,
@@ -74,16 +73,17 @@ class SeriesRun:
 
 
 def _rule_for(mode: str, k: int, chains: ChainIndex):
+    """The rule that builds level k of a ``mode`` run, and its producer."""
     if mode == "weak":
-        return weak_candidates
+        return mode, weak_candidates
     # level 2 of a clean run is built with the factor rule; the clean rule
     # needs three levels to speak about
     if mode == "factor" or (mode == "clean" and k < 3):
-        return factor_candidates
+        return "factor", factor_candidates
     if mode == "clean":
         # the module attribute is looked up at each call, so a wrapper
         # installed on it sees every clean step
-        return lambda g: clean_candidates(g, chains)
+        return mode, lambda g: clean_candidates(g, chains)
     raise ContractError(f"unknown mode {mode!r}")
 
 
@@ -97,9 +97,9 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
     index = 0
     while True:
         index += 1
-        pick = _rule_for(mode, current.top + 1, chains)
+        rule, pick = _rule_for(mode, current.top + 1, chains)
         t0 = time.perf_counter()
-        fam: CandidateFamily = pick(current)
+        fam = pick(current)
         t1 = time.perf_counter()
         step = factorise(current, fam)
         t2 = time.perf_counter()
@@ -107,7 +107,7 @@ def _run(g: Graph, mode: str, cap: int | None, low_memory: bool) -> SeriesRun:
         stats.append(
             StepStats(
                 step=index,
-                rule=fam.mode,
+                rule=rule,
                 effective=step.effective,
                 candidates=len(fam),
                 removed_edges=step.removed_count,

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import ContractError, IntegrityError, MultipartiteGraph, canonical_edge
-from .candidates import CandidateFamily
+from .candidates import Candidate
 
 
 class _Interned(dict):
@@ -29,24 +29,24 @@ class _Interned(dict):
 class FactorStep:
     """Record of one factorising step: the family and the graph it produced."""
 
-    family: CandidateFamily
+    family: tuple[Candidate, ...]
     after: MultipartiteGraph
     new_vertices: range  # the new vertex ids, one per family member in order
     removed_count: int
 
     @property
     def added_count(self) -> int:
-        return sum(len(c.upper) + len(c.lower) for c in self.family.members)
+        return sum(len(c.upper) + len(c.lower) for c in self.family)
 
     @property
     def effective(self) -> bool:
-        return bool(self.family.members)
+        return bool(self.family)
 
     @property
     def removed_edges(self) -> frozenset[tuple[int, int]]:
         """Edges cut between upper and lower parts.  Derived on demand."""
         out = set()
-        for c in self.family.members:
+        for c in self.family:
             for y in c.upper:
                 for z in c.lower:
                     out.add(canonical_edge(y, z))
@@ -56,26 +56,27 @@ class FactorStep:
     def added_edges(self) -> frozenset[tuple[int, int]]:
         """Edges joining each new vertex to its candidate set.  Derived on demand."""
         out = set()
-        for x, c in zip(self.new_vertices, self.family.members):
+        for x, c in zip(self.new_vertices, self.family):
             for y in c.upper + c.lower:
                 out.add(canonical_edge(x, y))
         return frozenset(out)
 
     def __repr__(self) -> str:
         return (
-            f"FactorStep(k={self.family.k}, candidates={len(self.family.members)}, "
+            f"FactorStep(candidates={len(self.family)}, "
             f"removed={self.removed_count}, added={self.added_count})"
         )
 
 
-def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
-    """Apply one factorising step.  An empty family leaves the graph alone."""
+def factorise(g: MultipartiteGraph, family: tuple[Candidate, ...]) -> FactorStep:
+    """Apply one factorising step.  An empty family leaves the graph alone.
+
+    A family built by hand is checked as it is spent: every upper part lies
+    in the top level, every id is the graph's, no vertex repeats and each
+    part has two or more.  A family of another stage fails the first check.
+    """
     top = g.top
-    if family.k != top + 1:
-        raise ContractError(
-            f"family targets level {family.k} but the graph tops out at level {top}"
-        )
-    if not family.members:
+    if not family:
         return FactorStep(family, g, range(0), 0)
 
     level_of = g._level_of
@@ -83,8 +84,7 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
     top_level = g.levels[top]
     adj = g._adj
 
-    members = family.members
-    new_vertices = range(base, base + len(members))
+    new_vertices = range(base, base + len(family))
     adj2 = dict(adj)
     labels = dict(g.labels)
     snaps = dict(g.snapshots)
@@ -94,18 +94,28 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
     # the new vertices each old vertex joins
     joins: defaultdict[int, list[int]] = defaultdict(list)
 
-    for i, c in enumerate(members):
+    for i, c in enumerate(family):
         x = base + i
         upper = frozenset(c.upper)
         if not upper <= top_level:
             raise ContractError(f"candidate upper part {list(c.upper)} leaves the top level")
         adj2[x] = full = upper.union(c.lower)
-        labels[x] = f"L{family.k}#{i}"
+        # the set sizes tell a repeated vertex, an upper vertex in the lower
+        # part too, and a part of fewer than two
+        if not (len(upper) == len(c.upper) >= 2 and len(full) - len(upper) == len(c.lower) >= 2):
+            raise ContractError(
+                f"candidate {list(c.upper)} {list(c.lower)} repeats a vertex "
+                f"or has a part of fewer than two"
+            )
+        labels[x] = f"L{top + 1}#{i}"
         # a top-level member of a malformed lower part lands in the last
         # bucket and is reported by the edge check below
         below: list[list[int]] = [[] for _ in range(top + 1)]
-        for w in c.lower:
-            below[level_of[w]].append(w)
+        try:
+            for w in c.lower:
+                below[level_of[w]].append(w)
+        except KeyError:
+            raise ContractError(f"candidate lower part names an unknown vertex {w}") from None
         snap = {p: shared[tuple(below[p])] for p in range(top)}
         snap[top] = upper
         snaps[x] = snap
@@ -119,7 +129,7 @@ def factorise(g: MultipartiteGraph, family: CandidateFamily) -> FactorStep:
         old = adj[v]
         up = v in top_level
         cut = set().union(
-            *[members[x - base].lower if up else members[x - base].upper for x in xs]
+            *[family[x - base].lower if up else family[x - base].upper for x in xs]
         )
         if not cut <= old:
             raise IntegrityError(f"candidate family removes edges absent at vertex {v}")

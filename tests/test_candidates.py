@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from multifact import (
     BRUTE_FORCE_LIMIT,
     Candidate,
-    CandidateFamily,
     ContractError,
     Graph,
     IntegrityError,
@@ -25,23 +24,21 @@ from multifact import (
     weak_candidates,
 )
 from multifact import candidates, series
-from multifact.candidates import ChainIndex, _closed_intents, candidate_family
+from multifact.candidates import ChainIndex, _closed_intents, _order_key, candidate_family
 from multifact.cli import main
 
 
 def test_family_contracts(diamond):
-    with pytest.raises(ContractError):
-        CandidateFamily("bogus", 2, [])
     b = clique_incidence(diamond)
     for build in (candidate_family, brute_force_candidates):
         with pytest.raises(ContractError, match="unknown mode 'bogus'"):
             build(b, "bogus")
-    with pytest.raises(ContractError):
-        CandidateFamily("weak", 1, [])
-    with pytest.raises(ContractError):
-        CandidateFamily("clean", 2, [])
-    assert not CandidateFamily("weak", 2, []).effective
-    assert not CandidateFamily("clean", 3, []).effective
+    # one level is too few for every rule
+    one = MultipartiteGraph([{0, 1}], {0: "a", 1: "b"}, [])
+    for mode in ("weak", "factor", "clean"):
+        for build in (candidate_family, brute_force_candidates):
+            with pytest.raises(ContractError, match="existing levels"):
+                build(one, mode)
 
 
 def test_diamond_incidence_single_candidate(diamond):
@@ -67,13 +64,13 @@ def test_family_order_where_level_ids_interleave():
     )
     want = (Candidate((0, 1), (12, 13)), Candidate((2, 3), (10, 11)))
     for fam in (weak_candidates(g), factor_candidates(g), brute_force_candidates(g, "weak")):
-        assert fam.members == want
+        assert fam == want
 
 
 def test_singleton_top_level_gives_nothing(diamond):
     final = run_clean(diamond).final  # top level has one vertex
-    assert not weak_candidates(final).effective
-    assert not factor_candidates(final).effective
+    assert weak_candidates(final) == ()
+    assert factor_candidates(final) == ()
 
 
 def test_clean_needs_three_levels(diamond, fix_chain):
@@ -85,7 +82,7 @@ def test_clean_needs_three_levels(diamond, fix_chain):
     three = run_clean(fix_chain).graphs[1]
     assert three.top == 2
     fam = clean_candidates(three)
-    assert fam.effective
+    assert fam
     assert set(fam) == set(brute_force_candidates(three, "clean"))
 
 
@@ -99,16 +96,16 @@ def test_tripartite_in_weak_but_not_factor():
     )
     weak = weak_candidates(g)
     assert set(weak) == {Candidate((10, 11), (0, 1, 5))}
-    assert not factor_candidates(g).effective
+    assert factor_candidates(g) == ()
     assert set(weak) == set(brute_force_candidates(g, "weak"))
-    assert not brute_force_candidates(g, "factor").effective
+    assert brute_force_candidates(g, "factor") == ()
 
 
 def test_fix_chain_clean_step_four_is_empty(fix_chain):
     run = run_clean(fix_chain)
     stage = next(m for m in run.graphs if m.top == 3)
-    assert not clean_candidates(stage).effective
-    assert not brute_force_candidates(stage, "clean").effective
+    assert clean_candidates(stage) == ()
+    assert brute_force_candidates(stage, "clean") == ()
 
 
 def test_brute_force_guard():
@@ -198,10 +195,10 @@ def test_effectiveness_nesting(seed):
     for m, mode in _stages(seed):
         if mode != "clean":
             continue
-        if clean_candidates(m).effective:
-            assert factor_candidates(m).effective
-        if factor_candidates(m).effective:
-            assert weak_candidates(m).effective
+        if clean_candidates(m):
+            assert factor_candidates(m)
+        if factor_candidates(m):
+            assert weak_candidates(m)
 
 
 def _all_pairs_closure(objects, keep_mask, meet_mask):
@@ -291,7 +288,7 @@ def test_a_third_mask_prunes_like_a_filter_after_the_walk(context, also):
     assert _closed_intents(objects, keep_mask, meet_mask, also) == want
 
 
-def clean_steps(g) -> list[tuple[MultipartiteGraph, CandidateFamily]]:
+def clean_steps(g) -> list[tuple[MultipartiteGraph, tuple[Candidate, ...]]]:
     """Each clean step of ``run_clean(g)``: the stage and the family it spent.
 
     The series calls its clean rule through ``series.clean_candidates``
@@ -318,9 +315,9 @@ def clean_steps(g) -> list[tuple[MultipartiteGraph, CandidateFamily]]:
 def assert_chain_families_are_the_rule(g) -> None:
     """Chain extension against the walk and, on small tops, the brute force."""
     for stage, fam in clean_steps(g):
-        assert fam.members == clean_candidates(stage).members, stage.top
+        assert fam == clean_candidates(stage), stage.top
         if len(stage.levels[stage.top]) <= 13:
-            assert fam.members == brute_force_candidates(stage, "clean").members, stage.top
+            assert fam == brute_force_candidates(stage, "clean"), stage.top
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -356,9 +353,12 @@ def test_chain_extension_on_the_bench_graphs(g):
 
 def assert_producers_emit_ascending_tuples(g: Graph, cap: int) -> None:
     """The walk in each mode, the brute force on small tops and the chain
-    index build both parts of every member strictly ascending."""
+    index build both parts of every member strictly ascending, and order
+    the family by ``_order_key``."""
 
-    def check(fam: CandidateFamily) -> None:
+    def check(fam: tuple[Candidate, ...]) -> None:
+        assert type(fam) is tuple
+        assert fam == tuple(sorted(fam, key=_order_key))
         for c in fam:
             for part in c:
                 assert all(a < b for a, b in zip(part, part[1:])), c
@@ -387,9 +387,9 @@ def test_one_chain_index_serves_every_stage_of_its_run():
     stages = run_clean(random_graph(12, 0.7, 828131)).graphs
     assert [m.top for m in stages] == [1, 2, 3, 4, 5]
     chains = ChainIndex()
-    assert chains.family(stages[1]).members == clean_candidates(stages[1]).members
+    assert chains.family(stages[1]) == clean_candidates(stages[1])
     for m in reversed(stages[2:]):
-        assert chains.family(m).members == clean_candidates(m).members
+        assert chains.family(m) == clean_candidates(m)
 
 
 def test_a_fresh_chain_index_starts_at_level_2(fix_chain):

@@ -4,6 +4,8 @@ from multifact import (
     ContractError,
     Graph,
     MultipartiteGraph,
+    run_clean,
+    serialise_edge_list,
 )
 from multifact.core import canonical_edge
 
@@ -24,6 +26,16 @@ class TestGraph:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ContractError):
             Graph(["a", "a"], [])
+
+    def test_labels_are_strings(self):
+        # a label that is not a string is converted, as the multipartite
+        # graph converts its own, so the text formats can write it
+        g = Graph([1, 2, 3], [(0, 1), (1, 2)])
+        assert g.labels == ("1", "2", "3")
+        assert serialise_edge_list(g) == serialise_edge_list(Graph(["1", "2", "3"], g.edges))
+        assert run_clean(g).status.describe() == "terminated rank=1"
+        with pytest.raises(ContractError, match="labels must be unique"):
+            Graph(["1", 1], [])
 
     def test_from_edge_list_ids_follow_sorted_labels(self):
         g = Graph.from_edge_list([("z", "m"), ("m", "a")], extra_vertices=["q"])
@@ -112,6 +124,15 @@ class TestMultipartiteGraph:
             MultipartiteGraph([{0}, {1}], {0: "a", 1: "b"}, [], {1: {1: []}})
         with pytest.raises(ContractError, match="leaves that level"):
             MultipartiteGraph([{0}, {1}], {0: "a", 1: "b"}, [], {1: {0: [1]}})
+
+    @pytest.mark.parametrize(
+        "snaps", [{2: {0.9: [0, 1]}}, {2: {0: [0], 0.5: [1]}}, {2: {"0": [0]}}]
+    )
+    def test_snapshot_level_must_be_an_int(self, snaps):
+        # no key is rounded to a level: 0.9 would store the snapshot at
+        # level 0, and 0.5 would overwrite the level-0 one
+        with pytest.raises(ContractError, match="is not an integer"):
+            MultipartiteGraph([{0, 1}, {2}], {0: "a", 1: "b", 2: "c"}, [], snaps)
 
     def test_snapshot_access(self):
         m = tripartite()

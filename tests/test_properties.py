@@ -45,12 +45,13 @@ gnp = st.builds(
 TINY = (Graph([], []), Graph(["a"], []), Graph(["a", "b"], []), Graph(["a", "b"], [(0, 1)]))
 
 
-def tiny_examples(**rest):
-    """Run the test on each graph of TINY as ``g``, beside ``rest``, as explicit examples."""
+def tiny_examples(*graphs: str, **rest):
+    """Run the test on each graph of TINY as every one of ``graphs`` (``g``
+    if none is named), beside ``rest``, as explicit examples."""
 
     def add(test):
         for g in TINY:
-            test = example(g=g, **rest)(test)
+            test = example(**dict.fromkeys(graphs or ("g",), g), **rest)(test)
         return test
 
     return add
@@ -154,10 +155,10 @@ def test_all_modes_agree_on_stage_two(g):
 @tiny_examples()
 def test_candidate_effectiveness_nests_across_modes(g):
     for m in run_clean(g).graphs:
-        if m.top + 1 >= 3 and candidate_family(m, "clean").effective:
-            assert factor_candidates(m).effective
-        if factor_candidates(m).effective:
-            assert weak_candidates(m).effective
+        if m.top + 1 >= 3 and candidate_family(m, "clean"):
+            assert factor_candidates(m)
+        if factor_candidates(m):
+            assert weak_candidates(m)
 
 
 @settings(max_examples=60, **COMMON)
@@ -230,11 +231,12 @@ def test_sequences_have_full_length_and_grow_strictly(g):
 @given(
     st.builds(
         random_graph,
-        st.integers(min_value=0, max_value=11),
+        st.sampled_from(range(3, 12)),  # as in gnp, n <= 2 comes from TINY
         st.sampled_from([0.4, 0.6, 0.7, 0.8]),
         st.integers(min_value=0, max_value=10**6),
     )
 )
+@tiny_examples()
 def test_clean_levels_are_as_large_as_their_chain_sets(g):
     # level k >= 2 is in bijection with the chains of length k-1, so it
     # has exactly as many vertices, and the run stops one past the height
@@ -266,7 +268,7 @@ def creation_lemma_violations(m: MultipartiteGraph) -> list[tuple[int, int, int]
 
 small_gnp = st.builds(
     random_graph,
-    st.integers(min_value=0, max_value=7),
+    st.sampled_from(range(3, 8)),  # as in gnp, n <= 2 comes from TINY
     st.sampled_from([0.2, 0.4, 0.6, 0.8]),
     st.integers(min_value=0, max_value=10**6),
 )
@@ -274,7 +276,7 @@ small_gnp = st.builds(
 
 @settings(max_examples=100, **COMMON)
 @given(small_gnp, st.integers(min_value=1, max_value=3), gnp, st.integers(min_value=1, max_value=4))
-@tiny_examples(weak_g=TINY[0], weak_cap=1, factor_cap=1)
+@tiny_examples("weak_g", "g", weak_cap=1, factor_cap=1)
 def test_creation_lemma_on_every_stage(weak_g, weak_cap, g, factor_cap):
     # the lemma of the lattice module: whatever the rule, a vertex's level-j
     # neighbours carry at least its own cliques

@@ -2,10 +2,10 @@ import pytest
 
 from multifact import (
     Candidate,
-    CandidateFamily,
     ContractError,
     IntegrityError,
     MultipartiteGraph,
+    clean_candidates,
     clique_incidence,
     factor_candidates,
     factorise,
@@ -40,18 +40,24 @@ def test_diamond_step_two_exact(diamond):
 def test_non_effective_step_returns_same_graph(diamond):
     final = run_clean(diamond).final
     fam = weak_candidates(final)
-    assert not fam.effective
+    assert fam == ()
     step = factorise(final, fam)
     assert step.after is final
     assert step.removed_count == 0 and step.added_count == 0
 
 
-def test_family_level_mismatch_rejected(diamond):
-    b = clique_incidence(diamond)
-    run = run_clean(diamond)
-    fam = weak_candidates(run.final)  # targets level 3
-    with pytest.raises(ContractError):
-        factorise(b, fam)
+def test_family_level_mismatch_rejected(fix_chain):
+    # a family of another stage has its upper parts off this top level,
+    # whichever way the levels differ
+    one, two = run_clean(fix_chain).graphs[:2]
+    for stage, fam in ((two, factor_candidates(one)), (one, clean_candidates(two))):
+        assert fam
+        with pytest.raises(ContractError, match="leaves the top level"):
+            factorise(stage, fam)
+    # an empty family leaves any stage alone
+    for stage in (one, two):
+        step = factorise(stage, ())
+        assert step.after is stage and not step.effective
 
 
 @pytest.mark.parametrize(
@@ -59,8 +65,25 @@ def test_family_level_mismatch_rejected(diamond):
     [
         ("b c", "a d", ContractError, "leaves the top level"),
         ("L1#0 L1#1", "a d", IntegrityError, "removes edges absent"),
+        ("L1#0 99", "b c", ContractError, "leaves the top level"),
+        ("L1#0 L1#1", "b 99", ContractError, "names an unknown vertex 99"),
+        ("L1#0 L1#0", "b c", ContractError, "repeats a vertex"),
+        ("L1#0 L1#1", "b b", ContractError, "repeats a vertex"),
+        ("L1#0 L1#1", "b L1#0", ContractError, "repeats a vertex"),
+        ("L1#0", "b c", ContractError, "part of fewer than two"),
+        ("L1#0 L1#1", "b", ContractError, "part of fewer than two"),
     ],
-    ids=["upper-below-the-top", "absent-edge"],
+    ids=[
+        "upper-below-the-top",
+        "absent-edge",
+        "unknown-upper",
+        "unknown-lower",
+        "repeated-upper",
+        "repeated-lower",
+        "upper-in-lower",
+        "one-upper",
+        "one-lower",
+    ],
 )
 def test_malformed_family_rejected(diamond, upper, lower, error, fragment):
     # level 1 holds the cliques {a,b,c} and {b,c,d}; a and d lie in one each
@@ -68,11 +91,12 @@ def test_malformed_family_rejected(diamond, upper, lower, error, fragment):
     ids = {label: x for x, label in b.labels.items()}
 
     def part(names: str) -> tuple[int, ...]:
-        return tuple(sorted(ids[v] for v in names.split()))
+        # a number names an id, present or not
+        return tuple(sorted(ids[v] if v in ids else int(v) for v in names.split()))
 
     c = Candidate(part(upper), part(lower))
     with pytest.raises(error, match=fragment):
-        factorise(b, CandidateFamily("weak", 2, [c]))
+        factorise(b, (c,))
 
 
 def test_level_discipline(diamond):
