@@ -110,6 +110,7 @@ fast path.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Iterable, NamedTuple
 
 from .core import ContractError, IntegrityError, MultipartiteGraph, bit_indices
@@ -273,8 +274,8 @@ def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
 
     At level 2 the whole top level is one class: grouped by their level-0
     neighbourhoods, the level-2 vertices would each be alone.  Levels are
-    disjoint, so one set, the neighbourhood without levels 1 and top-1,
-    carries the same information as the per-level tuple.  A top vertex is
+    disjoint, so one tuple, the neighbourhood without levels 1 and top-1,
+    carries the same information as the per-level tuples.  A top vertex is
     grouped in the step right after its creation, so its live
     neighbourhoods still equal its creation snapshots; the key reads the
     live ones, which also serves graphs built by hand without snapshots.
@@ -284,9 +285,9 @@ def _clean_classes(g: MultipartiteGraph) -> list[list[int]]:
         return [sorted(g.levels[top])]
     adj = g._adj
     drop = g.levels[1] | g.levels[top - 1]
-    groups: dict[frozenset[int], list[int]] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for x in g.levels[top]:
-        groups.setdefault(adj[x] - drop, []).append(x)
+        groups.setdefault(tuple(filterfalse(drop.__contains__, adj[x])), []).append(x)
     return [sorted(v) for v in groups.values()]
 
 
@@ -297,7 +298,7 @@ class ChainIndex:
     superset has a larger number.  ``_ext[m]`` lists for each element e
     strictly above element m the interval [m, e] as ascending numbers, so
     it starts at m and ends at e, ``_sup[e]`` is e's level-1 part, the
-    sorted supports, and ``_elem`` maps each element's support set to its
+    supports, and ``_elem`` maps each element's support tuple to its
     number.  Nothing of a later top level is kept: by (b) of the
     chain-extension lemma its clean classes are the sibling groups, and by
     (S1) a vertex's level-1 snapshot names its last element.
@@ -328,7 +329,7 @@ class ChainIndex:
             [tuple(bit_indices(up & downs[e])) for e in bit_indices(up ^ (1 << m))]
             for m, up in enumerate(ups)
         ]
-        self._sup = [tuple(sorted(snaps[v][1])) for v in elems]
+        self._sup = [snaps[v][1] for v in elems]
         self._elem = {snaps[v][1]: i for i, v in enumerate(elems)}
 
     def family(self, g: MultipartiteGraph) -> tuple[Candidate, ...]:
@@ -365,8 +366,8 @@ class ChainIndex:
                 if not ivs:
                     continue
                 s = snaps[x]
-                head = tuple(sorted(s[0]))
-                tail = tuple(sorted([y for j in range(2, top) for y in s[j]]))
+                head = s[0]
+                tail = tuple(y for j in range(2, top) for y in s[j])
                 for iv in ivs:
                     try:
                         upper = [sib[o] for o in iv]
@@ -410,7 +411,7 @@ def _is_valid_candidate(
         return False
     top = g.top
     for y in upper:
-        if not lower <= g._adj[y]:
+        if not lower.issubset(g._adj[y]):
             return False
     if mode in ("factor", "clean") and len(lower & g.levels[top - 1]) < 2:
         return False
@@ -451,7 +452,7 @@ def brute_force_candidates(g: MultipartiteGraph, mode: str) -> tuple[Candidate, 
             us = frozenset(upper)
             common = lowers
             for y in upper:
-                common &= g._adj[y]
+                common = common.intersection(g._adj[y])
             if _is_valid_candidate(g, mode, us, common):
                 by_set.setdefault(us | common, Candidate(upper, tuple(sorted(common))))
 

@@ -65,13 +65,13 @@ def clique_incidence(g: Graph) -> MultipartiteGraph:
         if _GENERATED_LABEL.fullmatch(label):
             raise ContractError(f"label {label!r} is reserved for generated vertices")
     n = g.vertex_count
-    ks = maximal_cliques(g)
+    ks = [tuple(sorted(c)) for c in maximal_cliques(g)]
     ids = range(n, n + len(ks))
     through: list[list[int]] = [[] for _ in range(n)]
     for cid, c in zip(ids, ks):
         for v in c:
             through[v].append(cid)
-    adj = {v: frozenset(cs) for v, cs in enumerate(through)}
+    adj = {v: tuple(cs) for v, cs in enumerate(through)}
     adj.update(zip(ids, ks))
     labels = dict(enumerate(g.labels))
     labels.update((cid, f"L1#{cid - n}") for cid in ids)
@@ -92,7 +92,7 @@ def collapse_bipartite(b: MultipartiteGraph) -> Graph:
         raise ContractError("level 0 must occupy ids 0..n-1 to collapse")
     edges: set[tuple[int, int]] = set()
     for c in sorted(b.levels[1]):
-        members = sorted(b.neighbours(c))
+        members = b.neighbours(c)
         for i, u in enumerate(members):
             for v in members[i + 1 :]:
                 edges.add((u, v))

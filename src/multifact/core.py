@@ -4,7 +4,8 @@ Vertices are dense integer ids paired with a label table.  Ids stay stable
 across decomposition steps; each step only appends fresh ids for its new
 top level, so in pipeline-built graphs every level occupies a contiguous
 id block.  Decompositions of moderately dense graphs run to tens of
-thousands of vertices, so construction keeps adjacency as shared frozensets
+thousands of vertices, so construction keeps adjacency as ascending id
+tuples, which the garbage collector stops tracking after one collection,
 and nothing else: edge counts and flat edge sets are computed from the
 adjacency each time they are read.  A ``Graph`` also keeps its maximal
 cliques once ``cliques.maximal_cliques`` has enumerated them, so every
@@ -53,6 +54,8 @@ class Graph:
             raise ContractError("vertex labels must be unique")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ContractError(f"edge ({u!r}, {v!r}) has an end that is not an integer id")
             if not (0 <= u < n and 0 <= v < n):
                 raise ContractError(f"edge ({u}, {v}) references an unknown vertex")
             u, v = canonical_edge(u, v)
@@ -108,8 +111,9 @@ class MultipartiteGraph:
 
     ``snapshots[x][j]`` records the level-j neighbourhood a vertex ``x``
     (level >= 1) had when its level was created.  Later steps may remove
-    edges incident to ``x`` but never rewrite the snapshot.  Graphs built by
-    ``factorise`` or parsed from mgraph text share one set object among the
+    edges incident to ``x`` but never rewrite the snapshot.  Neighbourhoods,
+    live or recorded, are ascending tuples of int ids.  Graphs built by
+    ``factorise`` or parsed from mgraph text share one tuple among the
     equal snapshots of a level, so code must not rely on their identity.
     """
 
@@ -128,6 +132,8 @@ class MultipartiteGraph:
         level_of: dict[int, int] = {}
         for i, lv in enumerate(self.levels):
             for x in lv:
+                if type(x) is not int:
+                    raise ContractError(f"vertex id {x!r} is not an integer")
                 if x in level_of:
                     raise ContractError(f"vertex {x} appears in more than one level")
                 level_of[x] = i
@@ -138,44 +144,45 @@ class MultipartiteGraph:
 
         adj: dict[int, set[int]] = {x: set() for x in level_of}
         for u, v in edges:
-            if u not in level_of or v not in level_of:
+            # every id is an int, so an equal float or bool is unknown too
+            if u not in level_of or v not in level_of or type(u) is not int or type(v) is not int:
                 raise ContractError(f"edge ({u}, {v}) references an unknown vertex")
             # a self-loop joins a vertex to its own level and fails here too
             if level_of[u] == level_of[v]:
                 raise ContractError(f"edge ({u}, {v}) joins two level-{level_of[u]} vertices")
             adj[u].add(v)
             adj[v].add(u)
-        self._adj: dict[int, frozenset[int]] = {x: frozenset(s) for x, s in adj.items()}
+        self._adj: dict[int, tuple[int, ...]] = {x: tuple(sorted(s)) for x, s in adj.items()}
 
-        snaps: dict[int, dict[int, frozenset[int]]] = {}
+        snaps: dict[int, dict[int, tuple[int, ...]]] = {}
         for x, per_level in (snapshots or {}).items():
-            if x not in level_of:
+            if x not in level_of or type(x) is not int:
                 raise ContractError(f"snapshot for unknown vertex {x}")
             lx = level_of[x]
             if lx == 0:
                 raise ContractError(f"vertex {x} is at level 0 and cannot carry snapshots")
-            entry: dict[int, frozenset[int]] = {}
+            entry: dict[int, tuple[int, ...]] = {}
             for j, members in per_level.items():
-                if not isinstance(j, int):
+                if type(j) is not int:
                     raise ContractError(f"snapshot level {j!r} of vertex {x} is not an integer")
                 if not 0 <= j < lx:
                     raise ContractError(
                         f"snapshot level {j} out of range for vertex {x} at level {lx}"
                     )
-                ms = frozenset(members)
-                if not ms <= self.levels[j]:
+                ms = set(members)
+                if not ms <= self.levels[j] or not all(type(y) is int for y in ms):
                     raise ContractError(f"snapshot of vertex {x} at level {j} leaves that level")
-                entry[j] = ms
+                entry[j] = tuple(sorted(ms))
             snaps[x] = entry
-        self.snapshots: dict[int, dict[int, frozenset[int]]] = snaps
+        self.snapshots: dict[int, dict[int, tuple[int, ...]]] = snaps
 
     @classmethod
     def _assemble(
         cls,
         levels: tuple[frozenset[int], ...],
         labels: dict[int, str],
-        adj: dict[int, frozenset[int]],
-        snapshots: dict[int, dict[int, frozenset[int]]],
+        adj: dict[int, tuple[int, ...]],
+        snapshots: dict[int, dict[int, tuple[int, ...]]],
     ) -> "MultipartiteGraph":
         # trusted constructor for pipeline-internal callers; skips validation
         g = object.__new__(cls)
@@ -213,16 +220,16 @@ class MultipartiteGraph:
     def level_of(self, x: int) -> int:
         return self._level_of[x]
 
-    def neighbours(self, x: int) -> frozenset[int]:
+    def neighbours(self, x: int) -> tuple[int, ...]:
         return self._adj[x]
 
-    def level_neighbours(self, x: int, i: int) -> frozenset[int]:
+    def level_neighbours(self, x: int, i: int) -> tuple[int, ...]:
         if not 0 <= i <= self.top:
             raise IndexError(f"level {i} out of range 0..{self.top}")
-        return self.neighbours(x) & self.levels[i]
+        return tuple(filter(self.levels[i].__contains__, self._adj[x]))
 
-    def snapshot(self, x: int, j: int) -> frozenset[int]:
-        """Creation-time level-j neighbourhood of x.  KeyError when unrecorded."""
+    def snapshot(self, x: int, j: int) -> tuple[int, ...]:
+        """Creation-time level-j neighbourhood of x, ascending.  KeyError when unrecorded."""
         return self.snapshots[x][j]
 
     def level_sizes(self) -> tuple[int, ...]:

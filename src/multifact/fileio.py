@@ -116,13 +116,12 @@ def serialise_multipartite(g: MultipartiteGraph) -> str:
     out = [f"mgraph {len(g.levels)}\n"]
     out += [f"v {level_of[x]} {x} {_token(labels[x])}\n" for x in xs]
     for x in xs:
-        ys = sorted(adj[x])
-        ys = ys[bisect_right(ys, x):]
+        ys = adj[x][bisect_right(adj[x], x):]
         if ys:  # the edges to higher ids, joined in one call
             out.append(f"e {x} " + f"\ne {x} ".join(map(str, ys)) + "\n")
-    # equal member sets recur thousands of times (most graphs even share
-    # the set object), so each distinct set is written out once
-    member_text: dict[frozenset[int], str] = {}
+    # equal member tuples recur thousands of times (most graphs even share
+    # the tuple object), so each distinct one is written out once
+    member_text: dict[tuple[int, ...], str] = {}
     snaps = g.snapshots
     for x in sorted(snaps):
         per = snaps[x]
@@ -133,7 +132,7 @@ def serialise_multipartite(g: MultipartiteGraph) -> str:
                 continue
             text = member_text.get(ms)
             if text is None:
-                text = member_text[ms] = " ".join(map(str, sorted(ms)))
+                text = member_text[ms] = " ".join(map(str, ms))
             out.append(f"s {x} {j} {text}\n")
     return "".join(out)
 
@@ -165,7 +164,7 @@ def parse_multipartite(text: str) -> MultipartiteGraph:
     Valid text is checked once, section by section, and the graph is built
     without a second validation.  Text that fails any check is read again
     line by line, which names the first faulty line.  Equal snapshot member
-    lists at one level share one set object (see ``MultipartiteGraph``).
+    lists at one level share one tuple (see ``MultipartiteGraph``).
     """
     g = _parse_sections(text)
     return g if g is not None else _parse_by_line(text)
@@ -222,25 +221,26 @@ def _build(
         span = ids[-1] - ids[0] + 1
         if not _strictly_increasing(list(map(add, map(mul, us, repeat(span)), ws))):
             return None
+    # edges ascend by pair, so each neighbour list ascends
     nbrs: dict[int, list[int]] = {x: [] for x in ids}
     for u, w in zip(us, ws):
         nbrs[u].append(w)
         nbrs[w].append(u)
-    adj = {x: frozenset(ys) for x, ys in nbrs.items()}
+    adj = {x: tuple(ys) for x, ys in nbrs.items()}
 
     section = text[e_end:]
     xs = list(map(int, _S_ID.findall(section)))
     rests = _S_REST.findall(section)
-    # intern member sets by their "<level> <members...>" text: records
+    # intern member tuples by their "<level> <members...>" text: records
     # repeat a few thousand distinct lists tens of thousands of times
     level_at: dict[str, int] = {}
-    set_at: dict[str, frozenset[int]] = {}
+    tuple_at: dict[str, tuple[int, ...]] = {}
     for rest in set(rests):
         j, *ys = map(int, rest.split())
         if not _strictly_increasing(ys) or any(level_of.get(y) != j for y in ys):
             return None
         level_at[rest] = j
-        set_at[rest] = frozenset(ys)
+        tuple_at[rest] = tuple(ys)
     js = list(map(level_at.__getitem__, rests))
     lxs = list(map(level_of.get, xs))
     if None in lxs or not all(map(lt, js, lxs)):
@@ -248,11 +248,11 @@ def _build(
     # x * level_count + j orders records exactly as (x, j) does
     if not _strictly_increasing(list(map(add, map(mul, xs, repeat(level_count)), js))):
         return None
-    sets = list(map(set_at.__getitem__, rests))
+    members = list(map(tuple_at.__getitem__, rests))
     n = len(xs)
     # records of one vertex are contiguous; cut the lists where x changes
     cuts = [0, *compress(range(1, n), map(ne, xs, xs[1:])), n] if n else [0]
-    snaps = {xs[a]: dict(zip(js[a:b], sets[a:b])) for a, b in zip(cuts, cuts[1:])}
+    snaps = {xs[a]: dict(zip(js[a:b], members[a:b])) for a, b in zip(cuts, cuts[1:])}
 
     return MultipartiteGraph._assemble(levels, dict(zip(ids, names)), adj, snaps)
 
@@ -278,7 +278,7 @@ def _parse_by_line(text: str) -> MultipartiteGraph:
     label_line: dict[str, int] = {}
     level_of: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    snaps: dict[int, dict[int, frozenset[int]]] = {}
+    snaps: dict[int, dict[int, list[int]]] = {}
     section = 0
     last_vertex: int | None = None
     last_edge: tuple[int, int] | None = None
@@ -353,7 +353,7 @@ def _parse_by_line(text: str) -> MultipartiteGraph:
             if last_snap is not None and (x, j) <= last_snap:
                 raise FormatError(no, "snapshot records must be strictly increasing by (id, level)")
             last_snap = (x, j)
-            members: set[int] = set()
+            members: list[int] = []
             prev: int | None = None
             for tok in parts[3:]:
                 y = _int(no, tok, "member id")
@@ -362,7 +362,7 @@ def _parse_by_line(text: str) -> MultipartiteGraph:
                 if prev is not None and y <= prev:
                     raise FormatError(no, "snapshot members must be strictly increasing")
                 prev = y
-                members.add(y)
-            snaps.setdefault(x, {})[j] = frozenset(members)
+                members.append(y)
+            snaps.setdefault(x, {})[j] = members
 
     return MultipartiteGraph(levels, labels, edges, snaps)

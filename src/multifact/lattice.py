@@ -151,7 +151,7 @@ def _level1_clique_map(m: MultipartiteGraph, fam: IntersectionFamily) -> dict[in
     index = {c: i for i, c in enumerate(fam.cliques)}
     owner: dict[int, int] = {}
     for y in sorted(m.levels[1]):
-        i = index.get(m.snapshot(y, 0))
+        i = index.get(frozenset(m.snapshot(y, 0)))
         if i is None:
             raise IntegrityError(f"level-1 vertex {y} does not match any maximal clique")
         if i in owner:
@@ -186,7 +186,7 @@ class _Resolver:
         if k < 2:
             raise ContractError(f"vertex {x} is at level {k}; sequences start at level 2")
         snaps, masks = self.m.snapshots, self.masks
-        entries: list[frozenset[int]] = [snaps[x][0]]
+        entries: list[frozenset[int]] = [frozenset(snaps[x][0])]
         for j in range(2, k):
             ys = snaps[x][j]
             if not ys:
@@ -320,7 +320,7 @@ def verify_v2_bijection(run: SeriesRun, fam: IntersectionFamily | None = None) -
     failures: list[str] = []
     images: dict[frozenset[int], int] = {}
     for x in xs:
-        image = m.snapshot(x, 0)
+        image = frozenset(m.snapshot(x, 0))
         if image in images:
             failures.append(f"{m.labels[x]} repeats the image of {m.labels[images[image]]}")
             continue

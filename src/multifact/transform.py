@@ -12,17 +12,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import filterfalse
+from operator import lt
 
 from .core import ContractError, IntegrityError, MultipartiteGraph, canonical_edge
 from .candidates import Candidate
-
-
-class _Interned(dict):
-    """Member tuple -> its frozenset, built on first lookup."""
-
-    def __missing__(self, members: tuple[int, ...]) -> frozenset[int]:
-        s = self[members] = frozenset(members)
-        return s
 
 
 @dataclass(eq=False, slots=True)
@@ -71,9 +65,10 @@ class FactorStep:
 def factorise(g: MultipartiteGraph, family: tuple[Candidate, ...]) -> FactorStep:
     """Apply one factorising step.  An empty family leaves the graph alone.
 
-    A family built by hand is checked as it is spent: every upper part lies
-    in the top level, every id is the graph's, no vertex repeats and each
-    part has two or more.  A family of another stage fails the first check.
+    A family built by hand, its parts in any order, is checked as it is
+    spent: every upper part lies in the top level, every id is the graph's,
+    no vertex repeats and each part has two or more.  A family of another
+    stage fails the first check.
     """
     top = g.top
     if not family:
@@ -88,37 +83,33 @@ def factorise(g: MultipartiteGraph, family: tuple[Candidate, ...]) -> FactorStep
     adj2 = dict(adj)
     labels = dict(g.labels)
     snaps = dict(g.snapshots)
-    # one set per distinct member tuple, so the many equal snapshots of a
+    # one tuple per distinct member list, so the many equal snapshots of a
     # step, the empty one above all, share one object
-    shared = _Interned()
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     # the new vertices each old vertex joins
     joins: defaultdict[int, list[int]] = defaultdict(list)
 
     for i, c in enumerate(family):
         x = base + i
-        upper = frozenset(c.upper)
-        if not upper <= top_level:
+        if not top_level.issuperset(c.upper):
             raise ContractError(f"candidate upper part {list(c.upper)} leaves the top level")
-        adj2[x] = full = upper.union(c.lower)
-        # the set sizes tell a repeated vertex, an upper vertex in the lower
-        # part too, and a part of fewer than two
-        if not (len(upper) == len(c.upper) >= 2 and len(full) - len(upper) == len(c.lower) >= 2):
+        below: list[list[int]] = [[] for _ in range(top + 1)]
+        try:
+            # merges a producer's two ascending parts; sorts interleaved hand-built ids
+            adj2[x] = full = tuple(sorted(c.lower + c.upper))
+            for w in full:
+                below[level_of[w]].append(w)
+        except (KeyError, TypeError):  # the upper part passed, so the stranger is below
+            w = next(w for w in c.lower if w not in level_of)
+            raise ContractError(f"candidate lower part names an unknown vertex {w}") from None
+        # a repeat breaks the strict ascent; a top vertex in the lower part fails the cut check
+        if not (all(map(lt, full, full[1:])) and len(c.upper) >= 2 and len(c.lower) >= 2):
             raise ContractError(
                 f"candidate {list(c.upper)} {list(c.lower)} repeats a vertex "
                 f"or has a part of fewer than two"
             )
         labels[x] = f"L{top + 1}#{i}"
-        # a top-level member of a malformed lower part lands in the last
-        # bucket and is reported by the edge check below
-        below: list[list[int]] = [[] for _ in range(top + 1)]
-        try:
-            for w in c.lower:
-                below[level_of[w]].append(w)
-        except KeyError:
-            raise ContractError(f"candidate lower part names an unknown vertex {w}") from None
-        snap = {p: shared[tuple(below[p])] for p in range(top)}
-        snap[top] = upper
-        snaps[x] = snap
+        snaps[x] = {p: shared.setdefault(t, t) for p, t in enumerate(map(tuple, below))}
         for v in full:
             joins[v].append(x)
 
@@ -131,11 +122,13 @@ def factorise(g: MultipartiteGraph, family: tuple[Candidate, ...]) -> FactorStep
         cut = set().union(
             *[family[x - base].lower if up else family[x - base].upper for x in xs]
         )
-        if not cut <= old:
+        kept = tuple(y for y in old if y not in cut)
+        if len(kept) + len(cut) != len(old):
             raise IntegrityError(f"candidate family removes edges absent at vertex {v}")
         if up:
             removed_count += len(cut)
-        adj2[v] = (old - cut).union(xs)
+        # every new id exceeds every old one, so the tuple stays ascending
+        adj2[v] = kept + tuple(xs)
 
     levels2 = g.levels + (frozenset(new_vertices),)
     after = MultipartiteGraph._assemble(levels2, labels, adj2, snaps)
@@ -166,15 +159,16 @@ def project(g: MultipartiteGraph) -> MultipartiteGraph:
     for x in dropped:
         del adj2[x]
         members = adj[x]
-        ups = members & new_top
-        lows = members - ups
+        ups = new_top.intersection(members)
+        lows = ups.symmetric_difference(members)  # ups lies in members
         for y in ups:
             regained[y] |= lows
         for z in lows:
             regained[z] |= ups
 
     for v, extra in regained.items():
-        adj2[v] = (adj[v] - dropped) | extra
+        extra.update(filterfalse(dropped.__contains__, adj[v]))
+        adj2[v] = tuple(sorted(extra))
 
     labels2 = dict(g.labels)
     snaps2 = dict(g.snapshots)

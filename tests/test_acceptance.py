@@ -199,7 +199,7 @@ def test_criterion_3_fix_chain():
     m = run.final
     fam = intersection_family(g)
     ab, abc = frozenset({0, 1}), frozenset({0, 1, 2})
-    images = {m.snapshot(x, 0) for x in m.levels[2]}
+    images = {frozenset(m.snapshot(x, 0)) for x in m.levels[2]}
     ok = len(m.levels[2]) == 2 and images == {ab, abc}
     seqs = [characterising_sequence(run, x, fam) for x in sorted(m.levels[3])]
     ok = ok and (ab, abc) in seqs

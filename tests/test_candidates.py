@@ -163,11 +163,11 @@ def test_family_invariants(seed):
             # biclique closure: lower is the exact common neighbourhood...
             common = lowers
             for y in c.upper:
-                common &= m.neighbours(y)
+                common = common.intersection(m.neighbours(y))
             assert c.lower == tuple(sorted(common))
             # ...and upper is closed within its admissible pool
             pool = {
-                x for x in m.levels[top] if common <= m.neighbours(x)
+                x for x in m.levels[top] if common.issubset(m.neighbours(x))
             }
             if mode == "clean" and top >= 3:  # level 3 is one class
                 ps = (0, *range(2, top - 1))

@@ -100,10 +100,10 @@ class TestCliqueIncidence:
         assert b.level_sizes() == (4, 2)
         c0, c1 = sorted(b.levels[1])
         assert b.labels[c0] == "L1#0" and b.labels[c1] == "L1#1"
-        assert b.neighbours(c0) == {0, 1, 2}
-        assert b.neighbours(c1) == {1, 2, 3}
+        assert b.neighbours(c0) == (0, 1, 2)
+        assert b.neighbours(c1) == (1, 2, 3)
         # clique vertices carry their creation-time membership snapshot
-        assert b.snapshot(c0, 0) == {0, 1, 2}
+        assert b.snapshot(c0, 0) == (0, 1, 2)
 
     def test_original_labels_preserved(self, diamond):
         b = clique_incidence(diamond)

@@ -27,6 +27,13 @@ class TestGraph:
         with pytest.raises(ContractError):
             Graph(["a", "a"], [])
 
+    @pytest.mark.parametrize("edge", [(0.0, 1.0), (True, 0), (0, "1"), (None, 1)])
+    def test_non_integer_endpoint_rejected(self, edge):
+        # a bool would pass for the int it equals, and a float or a string
+        # would fail further on with a bare TypeError
+        with pytest.raises(ContractError, match="not an integer id"):
+            Graph(["a", "b", "c"], [edge])
+
     def test_labels_are_strings(self):
         # a label that is not a string is converted, as the multipartite
         # graph converts its own, so the text formats can write it
@@ -96,17 +103,32 @@ class TestMultipartiteGraph:
         with pytest.raises(ContractError):
             MultipartiteGraph([{0}, {1}], {0: "a", 1: "a"}, [])
 
+    @pytest.mark.parametrize("bad", ["a", True, 1.0, None])
+    def test_non_integer_vertex_id_rejected(self, bad):
+        # ids are sorted into tuples and written to mgraph text, which reads
+        # integers only
+        with pytest.raises(ContractError, match="is not an integer"):
+            MultipartiteGraph([{0}, {bad}], {0: "a", bad: "b"}, [])
+        # an id equal to a vertex's stands for no vertex, in an edge or a snapshot
+        labels = {0: "a", 1: "b", 2: "c"}
+        with pytest.raises(ContractError, match="unknown vertex"):
+            MultipartiteGraph([{0, 1}, {2}], labels, [(bad, 2)])
+        with pytest.raises(ContractError, match="leaves that level"):
+            MultipartiteGraph([{0, 1}, {2}], labels, [], {2: {0: [0, bad]}})
+        with pytest.raises(ContractError, match="unknown vertex"):
+            MultipartiteGraph([{0, 1}, {2}], labels, [], {bad: {0: [0]}})
+
     def test_needs_a_level(self):
         with pytest.raises(ContractError):
             MultipartiteGraph([], {}, [])
 
     def test_adjacency_and_level_neighbours(self):
         m = tripartite()
-        assert m.neighbours(2) == {0, 1, 4}
-        assert m.level_neighbours(2, 0) == {0, 1}
-        assert m.level_neighbours(2, 2) == {4}
-        assert m.level_neighbours(4, 0) == {0}
-        assert m.neighbours(4) == {0, 2}
+        assert m.neighbours(2) == (0, 1, 4)
+        assert m.level_neighbours(2, 0) == (0, 1)
+        assert m.level_neighbours(2, 2) == (4,)
+        assert m.level_neighbours(4, 0) == (0,)
+        assert m.neighbours(4) == (0, 2)
         with pytest.raises(IndexError):
             m.level_neighbours(2, 9)
 
@@ -126,17 +148,19 @@ class TestMultipartiteGraph:
             MultipartiteGraph([{0}, {1}], {0: "a", 1: "b"}, [], {1: {0: [1]}})
 
     @pytest.mark.parametrize(
-        "snaps", [{2: {0.9: [0, 1]}}, {2: {0: [0], 0.5: [1]}}, {2: {"0": [0]}}]
+        "snaps",
+        [{2: {0.9: [0, 1]}}, {2: {0: [0], 0.5: [1]}}, {2: {"0": [0]}}, {2: {False: [0]}}],
     )
     def test_snapshot_level_must_be_an_int(self, snaps):
         # no key is rounded to a level: 0.9 would store the snapshot at
-        # level 0, and 0.5 would overwrite the level-0 one
+        # level 0, and 0.5 would overwrite the level-0 one; False would be
+        # written to mgraph text as a level the parser rejects
         with pytest.raises(ContractError, match="is not an integer"):
             MultipartiteGraph([{0, 1}, {2}], {0: "a", 1: "b", 2: "c"}, [], snaps)
 
     def test_snapshot_access(self):
         m = tripartite()
-        assert m.snapshot(4, 0) == {0}
+        assert m.snapshot(4, 0) == (0,)
         assert 4 in m.snapshots and 3 not in m.snapshots
         with pytest.raises(KeyError):
             m.snapshot(4, 5)

@@ -318,7 +318,7 @@ class TestCharacterisingSequence:
         run = run_clean(fix_chain)
         m = run.final
         for x in m.levels[2]:
-            assert characterising_sequence(run, x) == (m.snapshot(x, 0),)
+            assert characterising_sequence(run, x) == (frozenset(m.snapshot(x, 0)),)
 
     def test_sequence_lengths_and_strictness(self):
         g = random_graph(10, 0.5, 930)
@@ -348,18 +348,18 @@ def old_sequence(m: MultipartiteGraph, fam, x: int):
     is compared with.  Its level-1 map need not be injective.
     """
     index = {c: i for i, c in enumerate(fam.cliques)}
-    to_clique = {y: index[m.snapshot(y, 0)] for y in m.levels[1]}
+    to_clique = {y: index[frozenset(m.snapshot(y, 0))] for y in m.levels[1]}
     through: dict[int, int] = {}
     for i, c in enumerate(fam.cliques):
         for v in c:
             through[v] = through.get(v, 0) | 1 << i
     snaps = m.snapshots
-    entries = [snaps[x][0]]
+    entries = [frozenset(snaps[x][0])]
     for j in range(2, m.level_of(x)):
         ys = snaps[x][j]
         if not ys:
             raise IntegrityError(f"vertex {x} has an empty creation level-{j} neighbourhood")
-        common = frozenset.intersection(*(snaps[y][1] for y in ys))
+        common = frozenset.intersection(*(frozenset(snaps[y][1]) for y in ys))
         if not common:
             raise IntegrityError(
                 f"vertex {x}: no set is carried by exactly the shared cliques at level {j}"
@@ -449,7 +449,9 @@ class TestResolver:
                 for x in m.levels[k]:
                     got.append(outcome(resolver.sequence, x))
                     if any(
-                        not frozenset.intersection(*(snaps[y][1] for y in snaps[x][j]))
+                        not frozenset.intersection(
+                            *[frozenset(snaps[y][1]) for y in snaps[x][j]]
+                        )
                         for j in range(2, k)
                     ):
                         unshared.append(got[-1])
@@ -465,7 +467,7 @@ class TestResolver:
         run = run_clean(fix_chain)
         m = run.final
         ones = sorted(m.levels[1])
-        (y,) = [y for y in m.levels[2] if m.snapshot(y, 0) == {0, 1, 2}]
+        (y,) = [y for y in m.levels[2] if m.snapshot(y, 0) == (0, 1, 2)]
         bad = with_snapshots(m, {y: {1: {ones[0], ones[2]}}})
         (x,) = bad.levels[3]
         fam = intersection_family(fix_chain)

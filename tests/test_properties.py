@@ -1,5 +1,7 @@
 """Property tests: the declared invariants, driven by generated graphs."""
 
+import gc
+import operator
 import random
 
 from hypothesis import example, given, settings, strategies as st
@@ -82,6 +84,30 @@ def test_top_vertices_still_match_their_snapshots(g, cap):
             for x in m.levels[m.top]:
                 for j in range(m.top):
                     assert m.level_neighbours(x, j) == m.snapshot(x, j)
+
+
+def neighbourhoods(m: MultipartiteGraph) -> list[tuple[int, ...]]:
+    """Every live and every recorded neighbourhood of m."""
+    out = [m.neighbours(x) for x in m.vertices()]
+    out += [ms for per in m.snapshots.values() for ms in per.values()]
+    return out
+
+
+@settings(max_examples=40, **COMMON)
+@given(gnp, st.integers(min_value=1, max_value=3))
+@tiny_examples(cap=1)
+def test_every_neighbourhood_is_an_ascending_tuple_of_ints(g, cap):
+    for run in (run_weak(g, cap=cap), run_factor(g, cap=cap), run_clean(g)):
+        for m in run.graphs:
+            for stage in (m, parse_multipartite(serialise_multipartite(m))):
+                for ms in neighbourhoods(stage):
+                    assert type(ms) is tuple
+                    assert all(type(y) is int for y in ms)
+                    assert all(map(operator.lt, ms, ms[1:]))
+        # a tuple of ints leaves the collector's care once it has survived
+        # a collection, so a finished stage costs later collections nothing
+        gc.collect()
+        assert not any(map(gc.is_tracked, neighbourhoods(run.final)))
 
 
 @settings(max_examples=60, **COMMON)
@@ -262,7 +288,7 @@ def creation_lemma_violations(m: MultipartiteGraph) -> list[tuple[int, int, int]
         for x in m.levels[k]
         for j in range(2, k)
         for y in snaps[x][j]
-        if not snaps[y][1] >= snaps[x][1]
+        if not set(snaps[y][1]).issuperset(snaps[x][1])
     ]
 
 

@@ -44,12 +44,12 @@ def test_fix_chain_clean(fix_chain):
     # the two level-2 vertices were created on the nontrivial intersections
     images = {m.snapshot(x, 0) for x in m.levels[2]}
     assert images == {
-        frozenset({0, 1}),            # {a, b}
-        frozenset({0, 1, 2}),         # {a, b, c}
+        (0, 1),            # {a, b}
+        (0, 1, 2),         # {a, b, c}
     }
     # and some level-3 vertex chains them together
     (x,) = m.levels[3]
-    assert m.snapshot(x, 0) == {0, 1}
+    assert m.snapshot(x, 0) == (0, 1)
 
 
 def test_empty_and_tiny_graphs():

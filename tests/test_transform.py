@@ -27,14 +27,14 @@ def test_diamond_step_two_exact(diamond):
     (x,) = after.levels[2]
     assert after.labels[x] == "L2#0"
     # the new vertex joins exactly its candidate set: both cliques plus {b, c}
-    assert after.neighbours(x) == {1, 2, 4, 5}
+    assert after.neighbours(x) == (1, 2, 4, 5)
     # the cut removes the former clique-to-{b,c} incidences
     assert step.removed_edges == {(1, 4), (2, 4), (1, 5), (2, 5)}
     assert step.added_edges == {(1, x), (2, x), (4, x), (5, x)}
     assert step.removed_count == 4 and step.added_count == 4
     # snapshots record the creation-time neighbourhoods per level
-    assert after.snapshot(x, 0) == {1, 2}
-    assert after.snapshot(x, 1) == {4, 5}
+    assert after.snapshot(x, 0) == (1, 2)
+    assert after.snapshot(x, 1) == (4, 5)
 
 
 def test_non_effective_step_returns_same_graph(diamond):
@@ -96,6 +96,15 @@ def test_malformed_family_rejected(diamond, upper, lower, error, fragment):
 
     c = Candidate(part(upper), part(lower))
     with pytest.raises(error, match=fragment):
+        factorise(b, (c,))
+
+
+def test_non_integer_lower_id_rejected(diamond):
+    # the new vertex's neighbourhood is its candidate sorted, which a
+    # string among the ids cannot be
+    b = clique_incidence(diamond)
+    c = Candidate(tuple(sorted(b.levels[1])), (0, "x"))
+    with pytest.raises(ContractError, match="names an unknown vertex x"):
         factorise(b, (c,))
 
 
@@ -176,10 +185,16 @@ def test_snapshots_split_by_level_without_id_blocks():
         {0: "a", 5: "b", 2: "c", 7: "d"},
         [(2, 0), (2, 5), (7, 0), (7, 5)],
     )
-    step = factorise(m, weak_candidates(m))
+    fam = weak_candidates(m)
+    step = factorise(m, fam)
     assert step.after.levels[3] == {8}
-    assert step.after.snapshots[8] == {0: {0, 5}, 1: set(), 2: {2, 7}}
+    assert step.after.neighbours(8) == (0, 2, 5, 7)
+    assert step.after.snapshots[8] == {0: (0, 5), 1: (), 2: (2, 7)}
     assert project(step.after) == m
+    # a family built by hand may list its parts in any order
+    backwards = tuple(Candidate(c.upper[::-1], c.lower[::-1]) for c in fam)
+    assert backwards != fam
+    assert factorise(m, backwards).after == step.after
 
 
 @pytest.mark.parametrize(
@@ -198,7 +213,7 @@ def test_equal_snapshot_sets_of_a_new_level_are_one_object(run, empty):
     for k in range(2, m.top + 1):
         sets = [ms for x in m.levels[k] for ms in m.snapshots[x].values()]
         assert len({id(ms) for ms in sets}) == len(set(sets))
-        levels_with_empty += frozenset() in sets
+        levels_with_empty += () in sets
     if empty:
         # so on those levels the empty set is one object
         assert levels_with_empty >= 1
