@@ -100,8 +100,8 @@ The chain path groups the top level by the clean classes, as the walk
 does, so by (b) each class is one set of siblings x_(pi, o), and by (S1)
 each one's level-1 snapshot names its last element o.  By (b), each member
 x_(pi, o) that (d) names exists, so a failed lookup in the index is an
-integrity error.  Every producer orders its family by ``_order_key``, so
-the chain path and the walk give one family in one order.
+integrity error.  No producer orders its family: the order decides only
+which new vertex gets which id, and ``factorise`` decides it.
 
 ``brute_force_candidates`` enumerates subsets literally and exists as an
 independent cross-check for small graphs; it must stay separate from the
@@ -125,21 +125,11 @@ class Candidate(NamedTuple):
     """One admissible pair: ``upper`` above the cut, ``lower`` below it.
 
     Each part is an ascending tuple of vertex ids, as every producer
-    builds it; the family order relies on that.
+    builds it, so equal candidates compare equal.
     """
 
     upper: tuple[int, ...]
     lower: tuple[int, ...]
-
-
-def _order_key(c: Candidate) -> tuple[int, tuple[int, ...]]:
-    """Families are ordered by size (descending) then vertex list."""
-    u, l = c
-    if not u or not l or l[-1] < u[0]:
-        merged = l + u
-    else:  # level ids interleave: a graph built by hand
-        merged = tuple(sorted(u + l))
-    return (-len(merged), merged)
 
 
 def _check_target(mode: str, k: int) -> None:
@@ -149,11 +139,6 @@ def _check_target(mode: str, k: int) -> None:
     need = 3 if mode == "clean" else 2
     if k < need:
         raise ContractError(f"{mode} candidates need at least {need} existing levels")
-
-
-def _ordered(members: Iterable[Candidate]) -> tuple[Candidate, ...]:
-    """A family: the members in ``_order_key`` order, as a step spends them."""
-    return tuple(sorted(members, key=_order_key))
 
 
 def _closed_intents(
@@ -254,7 +239,7 @@ def _family(
         if len(cls) > 1:
             seen = set().union(*[adj[x] for x in cls])
             members.extend(_concept_candidates(g, cls, sorted(seen), within))
-    return _ordered(members)
+    return tuple(members)
 
 
 def weak_candidates(g: MultipartiteGraph) -> tuple[Candidate, ...]:
@@ -377,7 +362,7 @@ class ChainIndex:
                         ) from None
                     upper.sort()
                     members.append(Candidate(tuple(upper), head + sup[iv[-1]] + tail))
-        return _ordered(members)
+        return tuple(members)
 
 
 def clean_candidates(
@@ -456,9 +441,4 @@ def brute_force_candidates(g: MultipartiteGraph, mode: str) -> tuple[Candidate, 
             if _is_valid_candidate(g, mode, us, common):
                 by_set.setdefault(us | common, Candidate(upper, tuple(sorted(common))))
 
-    maximal = [
-        c
-        for s, c in by_set.items()
-        if not any(s < t for t in by_set if t != s)
-    ]
-    return _ordered(maximal)
+    return tuple(c for s, c in by_set.items() if not any(s < t for t in by_set))

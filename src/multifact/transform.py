@@ -65,10 +65,14 @@ class FactorStep:
 def factorise(g: MultipartiteGraph, family: tuple[Candidate, ...]) -> FactorStep:
     """Apply one factorising step.  An empty family leaves the graph alone.
 
-    A family built by hand, its parts in any order, is checked as it is
-    spent: every upper part lies in the top level, every id is the graph's,
-    no vertex repeats and each part has two or more.  A family of another
-    stage fails the first check.
+    The step numbers its new vertices, one per member: larger candidate
+    sets first, equal sizes by ascending ids.  ``FactorStep.family`` lists
+    the members in that order, so every order of a family gives one graph.
+
+    A family built by hand, its parts in any order, is checked before it
+    is spent: every upper part lies in the top level, every id is an int of
+    the graph, no vertex repeats, each part has two or more and no set is
+    listed twice.  A family of another stage fails the first check.
     """
     top = g.top
     if not family:
@@ -78,6 +82,30 @@ def factorise(g: MultipartiteGraph, family: tuple[Candidate, ...]) -> FactorStep
     base = max(level_of) + 1
     top_level = g.levels[top]
     adj = g._adj
+
+    # check each member and merge it once into its candidate set
+    merged: list[tuple[int, tuple[int, ...], Candidate]] = []
+    for c in family:
+        if not top_level.issuperset(c.upper):
+            raise ContractError(f"candidate upper part {list(c.upper)} leaves the top level")
+        # the upper part passed, so a stranger is below
+        for w in filterfalse(level_of.__contains__, c.lower):
+            raise ContractError(f"candidate lower part names an unknown vertex {w}")
+        # merges a producer's two ascending parts; sorts interleaved hand-built ids
+        full = tuple(sorted(c.lower + c.upper))
+        # an id equal to one of the graph's, such as True for 1, is not an int
+        if set(map(type, full)) != {int}:
+            w = next(w for w in full if type(w) is not int)
+            raise ContractError(f"candidate names a vertex {w!r} that is not an integer")
+        # a repeat breaks the strict ascent; a top vertex in the lower part fails the cut check
+        if not (all(map(lt, full, full[1:])) and len(c.upper) >= 2 and len(c.lower) >= 2):
+            raise ContractError(
+                f"candidate {list(c.upper)} {list(c.lower)} repeats a vertex "
+                f"or has a part of fewer than two"
+            )
+        # larger candidate sets first, equal sizes by ascending ids
+        merged.append((-len(full), full, c))
+    merged.sort()
 
     new_vertices = range(base, base + len(family))
     adj2 = dict(adj)
@@ -89,30 +117,22 @@ def factorise(g: MultipartiteGraph, family: tuple[Candidate, ...]) -> FactorStep
     # the new vertices each old vertex joins
     joins: defaultdict[int, list[int]] = defaultdict(list)
 
-    for i, c in enumerate(family):
+    last: tuple[int, ...] = ()
+    for i, (_, full, _) in enumerate(merged):
+        # sorted, a candidate set listed twice is its own neighbour
+        if full == last:
+            raise ContractError(f"candidate family lists the set {list(full)} twice")
         x = base + i
-        if not top_level.issuperset(c.upper):
-            raise ContractError(f"candidate upper part {list(c.upper)} leaves the top level")
-        below: list[list[int]] = [[] for _ in range(top + 1)]
-        try:
-            # merges a producer's two ascending parts; sorts interleaved hand-built ids
-            adj2[x] = full = tuple(sorted(c.lower + c.upper))
-            for w in full:
-                below[level_of[w]].append(w)
-        except (KeyError, TypeError):  # the upper part passed, so the stranger is below
-            w = next(w for w in c.lower if w not in level_of)
-            raise ContractError(f"candidate lower part names an unknown vertex {w}") from None
-        # a repeat breaks the strict ascent; a top vertex in the lower part fails the cut check
-        if not (all(map(lt, full, full[1:])) and len(c.upper) >= 2 and len(c.lower) >= 2):
-            raise ContractError(
-                f"candidate {list(c.upper)} {list(c.lower)} repeats a vertex "
-                f"or has a part of fewer than two"
-            )
+        last = adj2[x] = full
         labels[x] = f"L{top + 1}#{i}"
+        below: list[list[int]] = [[] for _ in range(top + 1)]
+        for w in full:
+            below[level_of[w]].append(w)
         snaps[x] = {p: shared.setdefault(t, t) for p, t in enumerate(map(tuple, below))}
         for v in full:
             joins[v].append(x)
 
+    family = tuple(c for _, _, c in merged)
     removed_count = 0
     for v, xs in joins.items():
         # an upper vertex loses its edges to the lower parts, and the other

@@ -16,6 +16,7 @@ from multifact import (
     clean_candidates,
     clique_incidence,
     factor_candidates,
+    maximal_cliques,
     random_graph,
     run_clean,
     run_factor,
@@ -24,7 +25,7 @@ from multifact import (
     weak_candidates,
 )
 from multifact import candidates, series
-from multifact.candidates import ChainIndex, _closed_intents, _order_key, candidate_family
+from multifact.candidates import ChainIndex, _closed_intents, candidate_family
 from multifact.cli import main
 
 
@@ -51,20 +52,6 @@ def test_diamond_incidence_single_candidate(diamond):
     (c,) = weak
     assert c.upper == tuple(sorted(b.levels[1]))
     assert c.lower == (1, 2)  # b and c, the shared pair of the two triangles
-
-
-def test_family_order_where_level_ids_interleave():
-    # the lower ids lie above the upper ones, so both members take the
-    # sorted branch of the order; by lower part then upper part the
-    # member on {2, 3} would come first
-    g = MultipartiteGraph(
-        [{10, 11, 12, 13}, {0, 1, 2, 3}],
-        {v: f"v{v}" for v in (0, 1, 2, 3, 10, 11, 12, 13)},
-        [(0, 12), (0, 13), (1, 12), (1, 13), (2, 10), (2, 11), (3, 10), (3, 11)],
-    )
-    want = (Candidate((0, 1), (12, 13)), Candidate((2, 3), (10, 11)))
-    for fam in (weak_candidates(g), factor_candidates(g), brute_force_candidates(g, "weak")):
-        assert fam == want
 
 
 def test_singleton_top_level_gives_nothing(diamond):
@@ -145,7 +132,7 @@ def _stages(seed: int):
 def test_fast_path_equals_brute_force(seed):
     checked = 0
     for m, mode in _stages(seed):
-        assert set(candidate_family(m, mode)) == set(brute_force_candidates(m, mode))
+        assert sorted(candidate_family(m, mode)) == sorted(brute_force_candidates(m, mode))
         checked += 1
     assert checked
 
@@ -315,9 +302,9 @@ def clean_steps(g) -> list[tuple[MultipartiteGraph, tuple[Candidate, ...]]]:
 def assert_chain_families_are_the_rule(g) -> None:
     """Chain extension against the walk and, on small tops, the brute force."""
     for stage, fam in clean_steps(g):
-        assert fam == clean_candidates(stage), stage.top
+        assert sorted(fam) == sorted(clean_candidates(stage)), stage.top
         if len(stage.levels[stage.top]) <= 13:
-            assert fam == brute_force_candidates(stage, "clean"), stage.top
+            assert sorted(fam) == sorted(brute_force_candidates(stage, "clean")), stage.top
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -351,14 +338,89 @@ def test_chain_extension_on_the_bench_graphs(g):
     assert_chain_families_are_the_rule(g)
 
 
+def biclique_family(m: MultipartiteGraph, mode: str) -> list[Candidate]:
+    """The ``mode`` family of m read off maximal cliques, sorted; no size cap.
+
+    For each class of top vertices (the whole top level, or in clean mode
+    from level 3 up the vertices of one neighbourhood at levels 0 and
+    2..top-2), a graph makes the class a clique, the vertices below the top
+    that the class touches a clique, and keeps the edges between the two.
+    Its maximal cliques with two or more vertices on each side are the
+    closed pairs; the mode's level filters apply afterwards.  It relies on
+    ``maximal_cliques``, which ``tests/test_cliques.py`` checks against a
+    subset scan.
+    """
+    top = m.top
+    ps = (0, *range(2, top - 1)) if mode == "clean" and top >= 3 else ()
+    classes: dict[tuple, list[int]] = {}
+    for x in sorted(m.levels[top]):
+        classes.setdefault(tuple(m.level_neighbours(x, p) for p in ps), []).append(x)
+    twice = {"weak": (), "factor": (top - 1,), "clean": (top - 1, 1, 0)}[mode]
+    out = []
+    for cls in classes.values():
+        vs = cls + sorted({w for x in cls for w in m.neighbours(x)})
+        at = {v: i for i, v in enumerate(vs)}
+        a = len(cls)
+        # each side a clique, then the edges between the sides
+        n = len(vs)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i < a) == (j < a)]
+        edges += [(at[x], at[w]) for x in cls for w in m.neighbours(x)]
+        for q in maximal_cliques(Graph(map(str, vs), edges)):
+            upper = tuple(sorted(vs[i] for i in q if i < a))
+            lower = tuple(sorted(vs[i] for i in q if i >= a))
+            if len(upper) >= 2 and len(lower) >= 2:
+                if all(len(m.levels[p].intersection(lower)) >= 2 for p in twice):
+                    out.append(Candidate(upper, lower))
+    return sorted(out)
+
+
+def assert_the_biclique_oracle_agrees(g: Graph, tops: range) -> None:
+    """The walk in each mode and the chain index against ``biclique_family``
+    on every stage of g's clean run topped by a level in ``tops``.  A stage
+    counts only if its top and lower levels hold 600 vertices or fewer, as
+    the oracle's graph on them is dense."""
+
+    def small(m: MultipartiteGraph) -> bool:
+        return m.top in tops and m.vertex_count <= 600
+
+    for m in filter(small, run_clean(g).graphs):
+        for mode in ("weak", "factor", "clean")[: m.top + 1]:
+            assert sorted(candidate_family(m, mode)) == biclique_family(m, mode), (m.top, mode)
+    for stage, fam in clean_steps(g):
+        if small(stage):
+            assert sorted(fam) == biclique_family(stage, "clean"), stage.top
+
+
+def test_the_biclique_oracle_on_the_diamond(diamond):
+    b = clique_incidence(diamond)
+    assert biclique_family(b, "weak") == [Candidate((4, 5), (1, 2))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        random_graph,
+        st.integers(min_value=5, max_value=13),
+        st.sampled_from([0.5, 0.7, 0.9]),
+        st.integers(min_value=0, max_value=10**6),
+    )
+)
+def test_the_biclique_oracle_agrees_on_random_graphs(g):
+    assert_the_biclique_oracle_agrees(g, range(1, 100))
+
+
+@pytest.mark.parametrize("g", [g for _, g in BENCH_GRAPHS], ids=[n for n, _ in BENCH_GRAPHS])
+def test_the_biclique_oracle_agrees_on_the_bench_graphs(g):
+    # the early stages, where dense graphs have tops of 17 to 421 vertices
+    assert_the_biclique_oracle_agrees(g, range(1, 4))
+
+
 def assert_producers_emit_ascending_tuples(g: Graph, cap: int) -> None:
     """The walk in each mode, the brute force on small tops and the chain
-    index build both parts of every member strictly ascending, and order
-    the family by ``_order_key``."""
+    index build both parts of every member strictly ascending."""
 
     def check(fam: tuple[Candidate, ...]) -> None:
         assert type(fam) is tuple
-        assert fam == tuple(sorted(fam, key=_order_key))
         for c in fam:
             for part in c:
                 assert all(a < b for a, b in zip(part, part[1:])), c
@@ -387,9 +449,9 @@ def test_one_chain_index_serves_every_stage_of_its_run():
     stages = run_clean(random_graph(12, 0.7, 828131)).graphs
     assert [m.top for m in stages] == [1, 2, 3, 4, 5]
     chains = ChainIndex()
-    assert chains.family(stages[1]) == clean_candidates(stages[1])
+    assert sorted(chains.family(stages[1])) == sorted(clean_candidates(stages[1]))
     for m in reversed(stages[2:]):
-        assert chains.family(m) == clean_candidates(m)
+        assert sorted(chains.family(m)) == sorted(clean_candidates(m))
 
 
 def test_a_fresh_chain_index_starts_at_level_2(fix_chain):

@@ -1,3 +1,5 @@
+from ast import literal_eval
+
 import pytest
 
 from multifact import (
@@ -5,6 +7,7 @@ from multifact import (
     ContractError,
     IntegrityError,
     MultipartiteGraph,
+    brute_force_candidates,
     clean_candidates,
     clique_incidence,
     factor_candidates,
@@ -72,6 +75,7 @@ def test_family_level_mismatch_rejected(fix_chain):
         ("L1#0 L1#1", "b L1#0", ContractError, "repeats a vertex"),
         ("L1#0", "b c", ContractError, "part of fewer than two"),
         ("L1#0 L1#1", "b", ContractError, "part of fewer than two"),
+        ("L1#0 L1#1", "True c", ContractError, "True that is not an integer"),
     ],
     ids=[
         "upper-below-the-top",
@@ -83,6 +87,7 @@ def test_family_level_mismatch_rejected(fix_chain):
         "upper-in-lower",
         "one-upper",
         "one-lower",
+        "bool-id",
     ],
 )
 def test_malformed_family_rejected(diamond, upper, lower, error, fragment):
@@ -91,8 +96,8 @@ def test_malformed_family_rejected(diamond, upper, lower, error, fragment):
     ids = {label: x for x, label in b.labels.items()}
 
     def part(names: str) -> tuple[int, ...]:
-        # a number names an id, present or not
-        return tuple(sorted(ids[v] if v in ids else int(v) for v in names.split()))
+        # a literal names an id, present or not; True equals the id of b
+        return tuple(sorted(ids[v] if v in ids else literal_eval(v) for v in names.split()))
 
     c = Candidate(part(upper), part(lower))
     with pytest.raises(error, match=fragment):
@@ -106,6 +111,40 @@ def test_non_integer_lower_id_rejected(diamond):
     c = Candidate(tuple(sorted(b.levels[1])), (0, "x"))
     with pytest.raises(ContractError, match="names an unknown vertex x"):
         factorise(b, (c,))
+
+
+def test_a_set_listed_twice_is_rejected(diamond):
+    # spent twice, it would build two twin vertices on one candidate set
+    b = clique_incidence(diamond)
+    fam = factor_candidates(b)
+    backwards = tuple(Candidate(c.upper[::-1], c.lower[::-1]) for c in fam)
+    for twice in (fam + fam, fam + backwards):
+        with pytest.raises(ContractError, match=r"lists the set \[1, 2, 4, 5\] twice"):
+            factorise(b, twice)
+
+
+def test_spending_order_where_level_ids_interleave():
+    # the lower ids lie above the upper ones, a layout the pipeline never
+    # builds: by lower part then upper part the member on {2, 3} would
+    # come first, by candidate set the member on {0, 1} does
+    g = MultipartiteGraph(
+        [{10, 11, 12, 13}, {0, 1, 2, 3}],
+        {v: f"v{v}" for v in (0, 1, 2, 3, 10, 11, 12, 13)},
+        [(0, 12), (0, 13), (1, 12), (1, 13), (2, 10), (2, 11), (3, 10), (3, 11)],
+    )
+    want = (Candidate((0, 1), (12, 13)), Candidate((2, 3), (10, 11)))
+    for fam in (weak_candidates(g), factor_candidates(g), brute_force_candidates(g, "weak")):
+        assert sorted(fam) == list(want)
+    backwards = tuple(Candidate(c.upper[::-1], c.lower[::-1]) for c in want)
+    first = factorise(g, want)
+    for fam, spent in ((want, want), (want[::-1], want), (backwards, backwards)):
+        step = factorise(g, fam)
+        assert step.family == spent
+        assert step.after == first.after
+        assert {step.after.labels[x]: step.after.neighbours(x) for x in step.new_vertices} == {
+            "L2#0": (0, 1, 12, 13),
+            "L2#1": (2, 3, 10, 11),
+        }
 
 
 def test_level_discipline(diamond):
